@@ -99,6 +99,11 @@ def read_spdf(path) -> Field:
             raise InputError(f"not an SPDF1 container (magic {magic!r})")
         try:
             dim, on_nodes, ndim = _HEAD.unpack(fh.read(_HEAD.size))
+            if ndim != 1 + dim:
+                raise InputError(
+                    f"SPDF1 header gives {ndim} array axes for spatial dim {dim}; "
+                    f"expected {1 + dim}"
+                )
             shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
             t_max, half_width = _GEOM.unpack(fh.read(_GEOM.size))
         except struct.error as exc:

@@ -288,16 +288,25 @@ def fk_second_moment(
         dist = np.sqrt(np.sum(diff * diff, axis=-1))
         np.maximum(dist, floor / 2.0, out=dist)
         a_half = np.einsum("ij,rij->r", wt, dist**-alpha)
-        return np.column_stack([np.exp(a_full), np.exp(a_half)])
+        with np.errstate(over="ignore"):
+            return np.column_stack([np.exp(a_full), np.exp(a_half)])
 
     vals = map_replica_blocks(replicas, block, rng, block_size, threads)
+    if not np.all(np.isfinite(vals)):
+        raise NumericalError(
+            f"{np.count_nonzero(~np.isfinite(vals))} exponential-functional samples "
+            f"overflowed at t={t}; the second moment is beyond float range"
+        )
     if not np.all(vals >= 1.0):
         raise NumericalError(
-            "exponential-functional samples fell below 1 (or went non-finite); "
+            "exponential-functional samples fell below 1; "
             "nonnegative kernels make that impossible"
         )
-    est, est_half = vals.mean(axis=0)
-    se, se_half = (jackknife_stderr(vals[:, 0]), jackknife_stderr(vals[:, 1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        est, est_half = vals.mean(axis=0)
+        se, se_half = (jackknife_stderr(vals[:, 0]), jackknife_stderr(vals[:, 1]))
+    if not np.all(np.isfinite([est, est_half, se, se_half])):
+        raise NumericalError(f"fk estimate or its stderr overflowed at t={t}")
     return PathPairEstimate(
         estimate=float(est),
         stderr=float(se),

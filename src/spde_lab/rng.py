@@ -54,17 +54,17 @@ def map_replica_blocks(
     """Evaluate ``fn(generator, count)`` over replica blocks, deterministically.
 
     Block b uses the derived stream ``stream.substream(b)``; results are
-    concatenated in block order, so the output is bit-identical for any
-    thread count (the ordered-reduction contract). ``fn`` must return an
-    array whose leading dimension is ``count``.
+    copied in block order into one array allocated from the first block's
+    shape and dtype, so the output is bit-identical for any thread count
+    (the ordered-reduction contract). ``fn`` must return an array whose
+    leading dimension is ``count``.
     """
     if n_replicas <= 0:
         raise InputError("n_replicas must be positive")
     if block_size <= 0:
         raise InputError("block_size must be positive")
-    counts = [
-        min(block_size, n_replicas - start) for start in range(0, n_replicas, block_size)
-    ]
+    starts = range(0, n_replicas, block_size)
+    counts = [min(block_size, n_replicas - start) for start in starts]
 
     def run_block(b: int) -> np.ndarray:
         out = np.asarray(fn(stream.substream(b).generator(), counts[b]))
@@ -74,9 +74,20 @@ def map_replica_blocks(
             )
         return out
 
+    def collect(blocks) -> np.ndarray:
+        result = None
+        for start, block in zip(starts, blocks):
+            if result is None:
+                result = np.empty((n_replicas,) + block.shape[1:], dtype=block.dtype)
+            elif block.shape[1:] != result.shape[1:]:
+                raise InputError(
+                    f"replica fn returned trailing shape {block.shape[1:]}, "
+                    f"expected {result.shape[1:]}"
+                )
+            result[start : start + block.shape[0]] = block
+        return result
+
     if threads <= 1 or len(counts) == 1:
-        blocks = [run_block(b) for b in range(len(counts))]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(run_block, range(len(counts))))
-    return np.concatenate(blocks, axis=0)
+        return collect(run_block(b) for b in range(len(counts)))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return collect(pool.map(run_block, range(len(counts))))

@@ -13,6 +13,13 @@ Discretization conventions, shared by every scheme here:
 * space is truncated to [-L, L] with periodic wrap; for the heat kernel the
   wrap error is below 1e-14 once L >= 8 sqrt(T).
 
+The Walsh stochastic convolution sum_(j<k) G((k-j-1/2) dt, .) (*) Phi[j]
+behind the linear heat solution, its node samples and every Picard iterate
+is evaluated by one causal convolution core, _LinearHeatKernels: an rFFT in
+space and an FFT along time zero-padded to twice the number of steps, so the
+causal Toeplitz sum never wraps. One pass costs O(nt log nt * nx) plus the
+space transforms, in place of the O(nt^2 * nx) lag sum.
+
 Chaos-series closed forms. The multiplicative-noise chaos term of order n
 for the 1-d heat model has variance (t/4)^(n/2) / Gamma(n/2 + 1); summing
 gives the second moment 2 e^(t/4) Phi(sqrt(t/2)). (Deriving the term from
@@ -258,59 +265,73 @@ def _heat_kernel_vector(grid: SpaceTimeGrid, s: float) -> np.ndarray:
     return heat_kernel(s, _periodic_displacements(grid), 1)
 
 
+# padded space-time spectra of one convolution chunk stay near this size
+_CONV_CHUNK_BYTES = 64 * 2**20
+
+
 class _LinearHeatKernels:
-    """rfft of G((m - 1/2) dt, .) for node-to-cell-center lags m = 1..n_steps."""
+    """Causal space-time convolution with the midpoint-lagged heat kernel.
+
+    For a cell-indexed integrand phi (time rows j = 0..nt-1) it evaluates
+
+        u[k] = sum_(j<k) G((k-j-1/2) dt, .) (*) phi[j],   k = 0..nt,
+
+    with (*) the periodic convolution over the space cells. The kernel
+    sequence g[0] = 0, g[m] = G((m-1/2) dt, .) turns this into one causal
+    Toeplitz convolution in time, evaluated by an rFFT in space and an FFT
+    along time zero-padded to 2 nt, the shortest length at which the causal
+    sums do not wrap. Cost per pass: O(nt log nt * nx + nt * nx log nx)
+    instead of the O(nt^2 * nx) lag sum.
+    """
 
     def __init__(self, grid: SpaceTimeGrid):
         if grid.dim != 1:
             raise CapabilityError("linear heat solver supports d = 1 only")
-        self.grid = grid
         nt, dt = grid.time.n_steps, grid.time.dt
-        lags = np.arange(1, nt + 1)
-        kerns = np.stack([_heat_kernel_vector(grid, (m - 0.5) * dt) for m in lags])
-        self.khat = np.fft.rfft(kerns, axis=1)  # row m-1 holds lag m
+        g = np.zeros((nt + 1, grid.n_cells))
+        for m in range(1, nt + 1):
+            g[m] = _heat_kernel_vector(grid, (m - 0.5) * dt)
+        # time axis last: shape (n_cells // 2 + 1, 2 nt)
+        self.spectrum = np.fft.fft(np.fft.rfft(g, axis=1).T, n=2 * nt, axis=1)
 
-    def lag_hat(self, m: int) -> np.ndarray:
-        return self.khat[m - 1]
+    def convolve(self, phi: np.ndarray, rows) -> np.ndarray:
+        """u at the time nodes ``rows`` for integrands phi of shape (R, nt, nx).
+
+        Returns shape (R, len(rows), nx); node 0 is exactly zero. Replicas go
+        through in chunks so the padded spectra stay near _CONV_CHUNK_BYTES.
+        """
+        rows = np.asarray(rows, dtype=int)
+        count, nt, nx = phi.shape
+        nf, n_fft = self.spectrum.shape
+        out = np.empty((count, rows.size, nx))
+        chunk = max(1, _CONV_CHUNK_BYTES // (16 * nf * n_fft))
+        for lo in range(0, count, chunk):
+            hi = min(count, lo + chunk)
+            spec = np.zeros((hi - lo, nf, n_fft), dtype=complex)
+            spec[:, :, :nt] = np.fft.rfft(phi[lo:hi], axis=2).transpose(0, 2, 1)
+            np.fft.fft(spec, axis=2, out=spec)
+            spec *= self.spectrum
+            np.fft.ifft(spec, axis=2, out=spec)
+            out[lo:hi] = np.fft.irfft(spec[:, :, rows].transpose(0, 2, 1), n=nx, axis=2)
+        out[:, rows == 0] = 0.0
+        return out
 
 
-def solve_linear_heat_1d(grid: SpaceTimeGrid, noise: Field, method: str = "auto") -> Field:
+def solve_linear_heat_1d(grid: SpaceTimeGrid, noise: Field) -> Field:
     """Stochastic convolution with zero initial data,
 
         u(t_k, x) = sum over cells with center before t_k of
-                    G((k-j-1/2) dt, x - y_c) W(cell_(j,y)).
+                    G((k-j-1/2) dt, x - y_c) W(cell_(j,y)),
 
-    ``method`` selects the direct double sum or its FFT evaluation over the
-    periodic displacement; both produce the same sums.
+    evaluated by the causal FFT convolution core.
     """
     if noise.grid != grid:
         raise InputError("noise field was sampled on a different grid")
     if noise.on_nodes:
         raise InputError("noise must be cell-indexed")
-    w = noise.values
-    nt, nx = grid.time.n_steps, grid.n_cells
-    if method == "auto":
-        method = "fft" if nx >= 32 else "direct"
-    u = np.zeros((nt + 1, nx))
-    if method == "direct":
-        disp = _periodic_displacements(grid)
-        idx = (np.arange(nx)[:, None] - np.arange(nx)[None, :]) % nx
-        for k in range(1, nt + 1):
-            acc = np.zeros(nx)
-            for j in range(0, k):
-                kern = heat_kernel((k - j - 0.5) * grid.time.dt, disp, 1)
-                acc += kern[idx] @ w[j]
-            u[k] = acc
-    elif method == "fft":
-        kernels = _LinearHeatKernels(grid)
-        what = np.fft.rfft(w, axis=1)
-        for k in range(1, nt + 1):
-            acc = np.zeros(nx // 2 + 1, dtype=complex)
-            for j in range(0, k):
-                acc += kernels.lag_hat(k - j) * what[j]
-            u[k] = np.fft.irfft(acc, n=nx)
-    else:
-        raise InputError(f"unknown method {method!r}")
+    kernels = _LinearHeatKernels(grid)
+    nt = grid.time.n_steps
+    u = kernels.convolve(noise.values[None], np.arange(nt + 1))[0]
     return Field(grid, u, label="linear_heat")
 
 
@@ -379,16 +400,9 @@ def linear_heat_node_samples(
     scale = math.sqrt(grid.cell_volume)
 
     def block(gen, count):
-        w = gen.standard_normal((count, nt, nx)) * scale
-        what = np.fft.rfft(w, axis=2)
-        out = np.zeros((count, nodes.size, nx))
-        for pos, k in enumerate(nodes):
-            if k < 1:
-                continue
-            lags = np.arange(k, 0, -1)  # k - j for j = 0..k-1
-            acc = np.einsum("lf,rlf->rf", kernels.khat[lags - 1], what[:, :k])
-            out[:, pos] = np.fft.irfft(acc, n=nx, axis=1)
-        return out
+        w = gen.standard_normal((count, nt, nx))
+        w *= scale
+        return kernels.convolve(w, nodes)
 
     return map_replica_blocks(replicas, block, rng, block_size, threads)
 
@@ -417,23 +431,24 @@ def solve_nonlinear_heat_picard(
         raise CapabilityError("nonlinear heat Picard supports d = 1 only")
     kernels = _LinearHeatKernels(grid)
     nt, nx = grid.time.n_steps, grid.n_cells
+    nodes = np.arange(nt + 1)
     scale = math.sqrt(grid.cell_volume)
 
     def block(gen, count):
-        w = gen.standard_normal((count, nt, nx)) * scale
+        w = gen.standard_normal((count, nt, nx))
+        w *= scale
+        # rows 0..n_iter-1: squared successive differences; row n_iter: final path
+        out = np.empty((count, n_iter + 1, nt + 1, nx))
         u_prev = np.zeros((count, nt + 1, nx))
-        sq_sums = np.empty((count, n_iter, nt + 1, nx))
         for m in range(n_iter):
             integrand = np.asarray(sigma(u_prev[:, :-1, :])) * w
-            phihat = np.fft.rfft(integrand, axis=2)
-            u_next = np.full_like(u_prev, initial)
-            for k in range(1, nt + 1):
-                lags = np.arange(k, 0, -1)  # k - j for j = 0..k-1
-                acc = np.einsum("lf,rlf->rf", kernels.khat[lags - 1], phihat[:, :k])
-                u_next[:, k] += np.fft.irfft(acc, n=nx, axis=1)
-            sq_sums[:, m] = (u_next - u_prev) ** 2
+            u_next = kernels.convolve(integrand, nodes)
+            u_next += initial
+            np.subtract(u_next, u_prev, out=out[:, m])
+            np.square(out[:, m], out=out[:, m])
             u_prev = u_next
-        return np.concatenate([sq_sums, u_prev[:, None, :, :]], axis=1)
+        out[:, n_iter] = u_prev
+        return out
 
     out = map_replica_blocks(replicas, block, rng, block_size, threads)
     sq = out[:, :n_iter]

@@ -142,6 +142,15 @@ class TestFkCommand:
         payload = json.loads((tmp_path / "fk.json").read_text())
         assert payload["results"]["delta_floor"] > 0
 
+    def test_fk_overflow_exits_3(self, tmp_path, capsys):
+        code = run(["fk", "--hurst", "0.95", "--alpha", "0.9", "--t", "400",
+                    "--replicas", "32", "--n-quad", "64", "--seed", "4",
+                    "--out", tmp_path])
+        assert code == 3
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "NumericalError"
+        assert not (tmp_path / "fk.json").exists()
+
 
 class TestHolderCommand:
     def test_small_run(self, tmp_path):

@@ -8,6 +8,7 @@ from spde_lab.errors import (
     ConditionNotSatisfiedError,
     DomainError,
     InputError,
+    NumericalError,
 )
 from spde_lab.grids import SpaceTimeGrid, TimeGrid
 from spde_lab.moments import (
@@ -187,6 +188,12 @@ class TestFkSecondMoment:
     def test_unsupported_spec(self):
         with pytest.raises(CapabilityError):
             fk_second_moment(0.25, NoiseSpec.space_time_white(), 1, 10, 8, RngStream(0))
+
+    def test_overflow_raises(self):
+        # exp of the interaction functional overflows float64 at t = 400
+        spec = NoiseSpec.fractional_riesz(0.95, 0.9)
+        with pytest.raises(NumericalError):
+            fk_second_moment(400.0, spec, 1, 32, 64, RngStream(3))
 
     def test_thread_invariance(self):
         a = fk_second_moment(0.25, self.SPEC, 1, 512, 48, RngStream(9), threads=1)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,10 @@ class TestRngStream:
     def test_map_blocks_validates(self):
         with pytest.raises(InputError):
             map_replica_blocks(0, lambda g, n: np.zeros(n), RngStream(1))
+        with pytest.raises(InputError):  # trailing shape changes between blocks
+            map_replica_blocks(
+                5, lambda g, n: np.zeros((n, n)), RngStream(1), block_size=3
+            )
 
 
 class TestGrids:
@@ -92,6 +98,16 @@ class TestFieldSerialization:
             read_spdf(path)
         with open(path, "wb") as fh:
             fh.write(b"NOTME" + b"\x00" * 64)
+        with pytest.raises(InputError):
+            read_spdf(path)
+
+    def test_spdf_header_ndim_must_match_dim(self, tmp_path):
+        path = tmp_path / "field.spdf"
+        with open(path, "wb") as fh:
+            fh.write(b"SPDF1")
+            fh.write(struct.pack("<IBI", 1, 0, 0))  # dim 1 but zero array axes
+            fh.write(struct.pack("<dd", 1.0, 1.0))
+            fh.write(struct.pack("<d", 0.5))
         with pytest.raises(InputError):
             read_spdf(path)
 

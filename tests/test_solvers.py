@@ -6,6 +6,7 @@ import pytest
 from spde_lab.errors import CapabilityError, DomainError, InputError
 from spde_lab.field import Field
 from spde_lab.grids import SpaceTimeGrid, TimeGrid
+from spde_lab.kernels import heat_kernel
 from spde_lab.noise import (
     HomogeneousNoiseSampler,
     NoiseSpec,
@@ -21,6 +22,7 @@ from spde_lab.solvers import (
     geometric_bm,
     geometric_fbm,
     ito_sum,
+    linear_heat_node_samples,
     linear_heat_point_samples,
     linear_heat_point_variance,
     linear_heat_point_weights,
@@ -181,6 +183,41 @@ class TestChaosGeometric:
             chaos_geometric(1.0, 0.0, 10, "brownian_bridge")
 
 
+def direct_convolution(grid: SpaceTimeGrid, phi: np.ndarray) -> np.ndarray:
+    """O(nt^2 nx^2) double sum u[k] = sum_(j<k) G((k-j-1/2) dt, x - y) phi[j, y].
+
+    The reference the FFT convolution core must match: displacements are the
+    nearest periodic images, kernels sit at cell-center time lags.
+    """
+    nt, nx, dt = grid.time.n_steps, grid.n_cells, grid.time.dt
+    disp = (((np.arange(nx) + nx // 2) % nx) - nx // 2) * grid.dx
+    idx = (np.arange(nx)[:, None] - np.arange(nx)[None, :]) % nx
+    u = np.zeros((nt + 1, nx))
+    for k in range(1, nt + 1):
+        for j in range(k):
+            u[k] += heat_kernel((k - j - 0.5) * dt, disp, 1)[idx] @ phi[j]
+    return u
+
+
+def replica_sheets(grid: SpaceTimeGrid, seed: int, replicas: int, block_size: int):
+    """The scaled white-noise sheets the block samplers draw, in replica order."""
+    nt, nx = grid.time.n_steps, grid.n_cells
+    sheets = [
+        RngStream(seed).substream(b).generator().standard_normal(
+            (min(block_size, replicas - start), nt, nx)
+        )
+        for b, start in enumerate(range(0, replicas, block_size))
+    ]
+    return np.concatenate(sheets) * math.sqrt(grid.cell_volume)
+
+
+CORE_GRIDS = [
+    pytest.param(SpaceTimeGrid(TimeGrid(0.25, 16), 4.0, 24), id="nx24"),
+    pytest.param(SpaceTimeGrid(TimeGrid(0.25, 16), 4.0, 40), id="nx40"),
+    pytest.param(SpaceTimeGrid(TimeGrid(0.3, 15), 3.0, 33), id="odd-nt15"),
+]
+
+
 class TestLinearHeat:
     def _grid(self):
         return SpaceTimeGrid(TimeGrid(0.25, 16), 4.0, 24)
@@ -190,12 +227,31 @@ class TestLinearHeat:
         u = solve_linear_heat_1d(grid, sample_white_noise_sheet(grid, RngStream(1)))
         assert np.all(u.values[0] == 0.0)
 
-    def test_direct_equals_fft(self):
-        grid = self._grid()
+    @pytest.mark.parametrize("grid", CORE_GRIDS)
+    def test_fft_core_matches_direct_oracle(self, grid):
         w = sample_white_noise_sheet(grid, RngStream(5))
-        ud = solve_linear_heat_1d(grid, w, method="direct").values
-        uf = solve_linear_heat_1d(grid, w, method="fft").values
-        assert np.allclose(ud, uf, atol=1e-13)
+        u = solve_linear_heat_1d(grid, w).values
+        np.testing.assert_allclose(u, direct_convolution(grid, w.values), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("grid", CORE_GRIDS)
+    def test_node_samples_match_oracle(self, grid):
+        nt = grid.time.n_steps
+        nodes = np.array([0, 1, nt // 2, nt])
+        x = linear_heat_node_samples(grid, nodes, 3, RngStream(12), block_size=2)
+        assert x.shape == (3, 4, grid.n_cells)
+        assert np.all(x[:, 0] == 0.0)
+        for r, w in enumerate(replica_sheets(grid, 12, 3, 2)):
+            u = direct_convolution(grid, w)
+            np.testing.assert_allclose(x[r], u[nodes], rtol=0, atol=1e-13)
+
+    def test_node_samples_thread_invariant(self):
+        grid = SpaceTimeGrid(TimeGrid(0.25, 32), 4.0, 32)
+        a, b = (
+            linear_heat_node_samples(grid, np.arange(8, 33), 10, RngStream(14),
+                                     block_size=3, threads=t)
+            for t in (1, 2)
+        )
+        assert a.tobytes() == b.tobytes()
 
     def test_point_weights_match_solver(self):
         grid = self._grid()
@@ -261,6 +317,34 @@ class TestNonlinearHeatPicard:
         lin = solve_linear_heat_1d(grid, Field(grid, w[0])).values
         assert np.allclose(tr.final_sample, lin, atol=1e-12)
         assert np.all(tr.sup_sq_diffs[1:] == 0.0)
+
+    @pytest.mark.parametrize("grid", CORE_GRIDS)
+    def test_iterates_match_oracle(self, grid):
+        # sigma = identity from u_0 = 0, initial 1: each iterate is
+        # 1 + sum over lagged cells of G * u_(n-1) W
+        tr = solve_nonlinear_heat_picard(
+            LipschitzFn.identity(), grid, RngStream(21), 3, 1, initial=1.0
+        )
+        w = replica_sheets(grid, 21, 1, 1)[0]
+        u_prev = np.zeros((grid.time.n_steps + 1, grid.n_cells))
+        diffs = []
+        for _ in range(3):
+            u_next = 1.0 + direct_convolution(grid, u_prev[:-1] * w)
+            diffs.append(((u_next - u_prev) ** 2).max())
+            u_prev = u_next
+        np.testing.assert_allclose(tr.final_sample, u_prev, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(tr.sup_sq_diffs, diffs, rtol=1e-12, atol=0)
+        assert tr.sup_sq_diffs[0] == 1.0
+
+    def test_thread_invariant(self):
+        grid = SpaceTimeGrid(TimeGrid(0.25, 16), 2.0, 32)
+        a, b = (
+            solve_nonlinear_heat_picard(LipschitzFn.identity(), grid, RngStream(23), 4, 10,
+                                        initial=1.0, block_size=3, threads=t)
+            for t in (1, 2)
+        )
+        assert a.sup_sq_diffs.tobytes() == b.sup_sq_diffs.tobytes()
+        assert a.final_sample.tobytes() == b.final_sample.tobytes()
 
     def test_multiplicative_decay(self):
         # spatial step must resolve sqrt(dt/2) or the squared one-step kernel
