@@ -410,6 +410,39 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """Subcommand name -> its parser."""
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def _config_keys(parser: argparse.ArgumentParser) -> set[str]:
+    """Keys a ``--config`` file may hold: every subcommand option, plus the tags."""
+    keys = {"command", "version"}
+    for subparser in _subparsers(parser).values():
+        keys.update(a.dest for a in subparser._actions if a.default is not argparse.SUPPRESS)
+    return keys
+
+
+def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse argv; required options are enforced only when no ``--config`` is
+    given, because a re-run takes every value from its config file."""
+    subparsers = _subparsers(parser)
+    required = {}
+    for name, subparser in subparsers.items():
+        required[name] = [a for a in subparser._actions if a.required]
+        for action in required[name]:
+            action.required = False
+    args = parser.parse_args(argv)
+    if args.config is None:
+        missing = [a for a in required[args.command] if getattr(args, a.dest) is None]
+        if missing:
+            subparsers[args.command].error(
+                "the following arguments are required: "
+                + ", ".join("/".join(a.option_strings) for a in missing)
+            )
+    return args
+
+
 def _resolve_config(args) -> dict:
     """Flatten parsed args into the embedded-config dict."""
     cfg = {"command": args.command, "version": __version__}
@@ -444,18 +477,11 @@ def _resolve_config(args) -> dict:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(parser, argv)
     try:
         if args.config is not None:
             cfg = json.loads(Path(args.config).read_text())
-            known = {"command", "version"} | set(vars(args))
-            extra = {
-                "t", "p", "fit", "numeric", "time_lags", "space_lags", "model", "op",
-                "alpha", "hurst", "d", "n", "b", "profile", "beta", "big_t", "m",
-                "n_max", "replicas", "n_quad", "n_steps", "n_cells", "half_width",
-                "base_node", "kind", "format", "seed", "threads",
-            }
-            unknown = set(cfg) - known - extra
+            unknown = set(cfg) - _config_keys(parser)
             if unknown:
                 raise InputError(f"unknown config keys: {sorted(unknown)}")
             if cfg.get("command") != args.command:

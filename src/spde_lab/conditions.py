@@ -17,6 +17,9 @@ Reported integral estimates are the radial profile integrals
 
 without the angular surface constant; closed-form and quadrature paths use
 the same convention so their values are directly comparable.
+
+scipy is imported inside the two quadrature routes only, so importing the
+package (and every closed-form check) does not load it.
 """
 
 from __future__ import annotations
@@ -25,10 +28,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .errors import CapabilityError, DomainError, InputError
-from .kernels import HEAT, WAVE, OperatorSpec, g_squared_integral
+from .kernels import HEAT, WAVE, OperatorSpec
 from .rng import as_generator
 
 CLOSED_FORM = "closed_form"
@@ -138,6 +140,8 @@ def dalang_integral_numeric(
     must be locally finite, in the tail r^(d-1+beta-2kappa) must decay
     faster than r^(-1)); the value comes from adaptive quadrature.
     """
+    from scipy import integrate
+
     beta = mu.radial_exponent()
     a = d + beta
     if a <= 0.0:
@@ -173,6 +177,8 @@ def general_joint_condition(
     both against nu (x) mu. Divergence is classified analytically; values
     come from iterated adaptive quadrature.
     """
+    from scipy import integrate
+
     if op_kind not in (HEAT, WAVE):
         raise DomainError(f"operator kind must be 'heat' or 'wave', got {op_kind!r}")
     bt = nu.radial_exponent()
@@ -313,15 +319,14 @@ class GronwallCertificate:
 
 
 def _profile_sampler(profile, T: float):
-    """G(T) and an inverse-CDF sampler for the density g / G(T) on [0, T]."""
+    """G(T) = int_0^T g(s) ds and an inverse-CDF sampler for g / G(T) on [0, T]."""
     if isinstance(profile, OperatorSpec):
-        g_total = integrate.quad(lambda s: g_squared_integral(profile, s), 0.0, T)[0]
         if profile.kind == HEAT and profile.dim == 1:
-            # density ~ s^(-1/2): T U^2
-            return g_total, lambda u: T * u * u
+            # g(s) = (4 pi s)^(-1/2): G(T) = sqrt(T / pi), density ~ s^(-1/2): T U^2
+            return math.sqrt(T / math.pi), lambda u: T * u * u
         if profile.kind == WAVE and profile.dim == 1:
-            # density ~ s: T sqrt(U)
-            return g_total, lambda u: T * np.sqrt(u)
+            # g(s) = s / 2: G(T) = T^2 / 4, density ~ s: T sqrt(U)
+            return T * T / 4.0, lambda u: T * np.sqrt(u)
         raise CapabilityError("certificate profiles: heat/wave d=1 or a constant")
     beta = float(profile)
     if beta < 0:

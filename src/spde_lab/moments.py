@@ -9,7 +9,6 @@ geometric fractional model, whose moments grow like exp(p(p-1) t^(2H) / 2).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,9 +76,6 @@ class MomentReport:
             "fitted_lambda": self.fitted_lambda,
             "closed_form_lambda": self.closed_form_lambda,
         }
-
-    def json_text(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def jackknife_stderr(samples: np.ndarray) -> float:
@@ -282,12 +278,12 @@ def fk_second_moment(
         b2 = np.cumsum(gen.standard_normal((count, n_quad, d)) * sq_gaps[:, None], axis=1)
         diff = b1[:, :, None, :] - b2[:, None, :, :]
         dist = np.sqrt(np.sum(diff * diff, axis=-1))
-        np.maximum(dist, floor, out=dist)
-        a_full = np.einsum("ij,rij->r", wt, dist**-alpha)
-        # sensitivity variant: same paths, floor halved
-        dist = np.sqrt(np.sum(diff * diff, axis=-1))
+        # sensitivity variant first: same paths, floor halved; raising the
+        # floor afterwards gives the same bits as flooring the raw distances
         np.maximum(dist, floor / 2.0, out=dist)
         a_half = np.einsum("ij,rij->r", wt, dist**-alpha)
+        np.maximum(dist, floor, out=dist)
+        a_full = np.einsum("ij,rij->r", wt, dist**-alpha)
         with np.errstate(over="ignore"):
             return np.column_stack([np.exp(a_full), np.exp(a_half)])
 

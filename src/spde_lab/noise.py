@@ -162,17 +162,6 @@ def sample_bm_path(grid: TimeGrid, rng) -> np.ndarray:
     return sample_bm_paths(grid, rng, 1)[0]
 
 
-def sample_bm_at(times: np.ndarray, rng, n_paths: int = 1) -> np.ndarray:
-    """Brownian values at strictly increasing times > 0, shape (n_paths, len(times))."""
-    times = np.asarray(times, dtype=float)
-    gaps = np.diff(times, prepend=0.0)
-    if np.any(gaps <= 0):
-        raise InputError("times must be strictly increasing and positive")
-    gen = as_generator(rng)
-    inc = gen.standard_normal((n_paths, times.size)) * np.sqrt(gaps)
-    return np.cumsum(inc, axis=1)
-
-
 def sample_white_noise_sheet(grid: SpaceTimeGrid, rng) -> Field:
     """I.i.d. cell increments with variance dt * dx^d (Brownian-sheet masses)."""
     gen = as_generator(rng)
@@ -256,10 +245,6 @@ def sample_fbm_paths(
     paths = np.zeros((n_paths, grid.n_steps + 1))
     paths[:, 1:] = z @ L.T
     return paths
-
-
-def sample_fbm_path(hurst, grid, rng, cholesky_cap: int = DEFAULT_CHOLESKY_CAP):
-    return sample_fbm_paths(hurst, grid, rng, 1, cholesky_cap)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ distinct stream ids are statistically independent.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -87,7 +88,9 @@ def map_replica_blocks(
             result[start : start + block.shape[0]] = block
         return result
 
-    if threads <= 1 or len(counts) == 1:
+    # more workers than blocks or cores only adds blocks in flight
+    workers = min(threads, len(counts), os.cpu_count() or 1)
+    if workers <= 1:
         return collect(run_block(b) for b in range(len(counts)))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return collect(pool.map(run_block, range(len(counts))))

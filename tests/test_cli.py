@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spde_lab
 from spde_lab.cli import main
 from spde_lab.field import read_spdf
 
@@ -34,6 +39,31 @@ class TestCheckCommand:
         assert exc.value.code == 2
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert err["error"] == "usage"
+
+    def test_missing_required_option_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["check", "--op", "heat", "--out", tmp_path])
+        assert exc.value.code == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err == {"error": "usage",
+                       "message": "the following arguments are required: --alpha"}
+
+    def test_numeric_returns_both_verdicts(self, tmp_path):
+        assert run(["check", "--op", "heat", "--alpha", "1.0", "--hurst", "0.75",
+                    "--numeric", "--out", tmp_path]) == 0
+        results = json.loads((tmp_path / "check.json").read_text())["results"]
+        closed, numeric = results["verdict"], results["numeric_verdict"]
+        assert closed["method"] == "closed_form" and numeric["method"] == "quadrature"
+        assert closed["satisfied"] is numeric["satisfied"] is True
+        assert numeric["estimate"] > 0.0
+
+    def test_numeric_config_rerun_bit_identical(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(["check", "--op", "wave", "--alpha", "0.5", "--hurst", "0.6",
+                    "--d", "1", "--numeric", "--seed", "4", "--out", a]) == 0
+        assert run(["check", "--config", a / "config.json", "--out", b]) == 0
+        for name in ("check.json", "config.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 class TestChaosCommand:
@@ -182,3 +212,19 @@ class TestNoiseCommand:
                     "--t", "0.5", "--n-steps", "4", "--n-cells", "4",
                     "--out", tmp_path])
         assert code == 2
+
+
+class TestColdStart:
+    def test_cli_import_loads_no_scipy(self):
+        # only the quadrature route (check --numeric) may pay for scipy
+        src = str(Path(spde_lab.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import spde_lab.cli, sys; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "[]"

@@ -14,7 +14,7 @@ from spde_lab.conditions import (
     predicted_holder,
 )
 from spde_lab.errors import CapabilityError, DomainError, InputError
-from spde_lab.kernels import OperatorSpec
+from spde_lab.kernels import OperatorSpec, g_squared_integral
 from spde_lab.rng import RngStream
 
 ALPHAS = (0.25, 0.75, 1.25, 1.75)
@@ -201,6 +201,16 @@ class TestGronwallCertificate:
         )
         assert cert.g_total == pytest.approx(1.0, rel=1e-10)
         assert cert.a_n[1] == pytest.approx(1.0, abs=3 * cert.stderr[1] + 1e-12)
+
+    @pytest.mark.parametrize("kind", ["heat", "wave"])
+    @pytest.mark.parametrize("big_t", [0.25, 0.5, 1.0, 2.0, 3.7])
+    def test_closed_form_g_total_matches_quadrature(self, kind, big_t):
+        op = OperatorSpec(kind, 1)
+        oracle, _ = integrate.quad(lambda s: g_squared_integral(op, s), 0.0, big_t)
+        cert = dalang_gronwall_certificate(
+            op, big_t, n_max=2, mc_replicas=100, rng=RngStream(0)
+        )
+        assert cert.g_total == pytest.approx(oracle, rel=1e-12)
 
     def test_degenerate_profile(self):
         with pytest.raises(InputError):

@@ -25,7 +25,7 @@ from spde_lab.moments import (
     lyapunov_fit,
 )
 from spde_lab.noise import NoiseSpec, sample_bm_paths, sample_fbm_paths
-from spde_lab.rng import RngStream
+from spde_lab.rng import RngStream, map_replica_blocks
 from spde_lab.solvers import geometric_bm, geometric_fbm, pam_log_second_moment
 
 
@@ -199,6 +199,35 @@ class TestFkSecondMoment:
         a = fk_second_moment(0.25, self.SPEC, 1, 512, 48, RngStream(9), threads=1)
         b = fk_second_moment(0.25, self.SPEC, 1, 512, 48, RngStream(9), threads=4)
         assert a.estimate == b.estimate and a.stderr == b.stderr
+
+    def test_shared_pair_distances_bit_identical(self):
+        # oracle: the block as it was, with the pair distances taken twice
+        hurst, alpha, t, replicas, n_quad = 0.7, 0.5, 0.25, 300, 24
+        delta = t / n_quad
+        floor = delta / 2.0
+        h2 = 2.0 * hurst
+        m = np.abs(np.arange(n_quad)[:, None] - np.arange(n_quad)[None, :]).astype(float)
+        wt = 0.5 * delta**h2 * ((m + 1.0) ** h2 + np.abs(m - 1.0) ** h2 - 2.0 * m**h2)
+        sq_gaps = np.sqrt(np.diff((np.arange(n_quad) + 0.5) * delta, prepend=0.0))
+
+        def block(gen, count):
+            b1 = np.cumsum(gen.standard_normal((count, n_quad, 1)) * sq_gaps[:, None], axis=1)
+            b2 = np.cumsum(gen.standard_normal((count, n_quad, 1)) * sq_gaps[:, None], axis=1)
+            diff = b1[:, :, None, :] - b2[:, None, :, :]
+            dist = np.sqrt(np.sum(diff * diff, axis=-1))
+            np.maximum(dist, floor, out=dist)
+            a_full = np.einsum("ij,rij->r", wt, dist**-alpha)
+            dist = np.sqrt(np.sum(diff * diff, axis=-1))
+            np.maximum(dist, floor / 2.0, out=dist)
+            a_half = np.einsum("ij,rij->r", wt, dist**-alpha)
+            return np.column_stack([np.exp(a_full), np.exp(a_half)])
+
+        vals = map_replica_blocks(replicas, block, RngStream(11), 128)
+        est = fk_second_moment(t, self.SPEC, 1, replicas, n_quad, RngStream(11))
+        assert est.estimate == vals[:, 0].mean()
+        assert est.estimate_half_floor == vals[:, 1].mean()
+        assert est.stderr == jackknife_stderr(vals[:, 0])
+        assert est.stderr_half_floor == jackknife_stderr(vals[:, 1])
 
 
 class TestHolderEstimate:

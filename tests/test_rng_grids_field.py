@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from spde_lab import rng
 from spde_lab.errors import DomainError, InputError
 from spde_lab.field import Field, read_spdf, write_csv, write_spdf
 from spde_lab.grids import SpaceTimeGrid, TimeGrid
@@ -44,6 +45,31 @@ class TestRngStream:
             map_replica_blocks(
                 5, lambda g, n: np.zeros((n, n)), RngStream(1), block_size=3
             )
+
+    @pytest.mark.parametrize("cpus, expected", [(2, [2]), (8, [3]), (None, [])])
+    def test_pool_clamped_to_blocks_and_cpus(self, monkeypatch, cpus, expected):
+        recorded = []
+
+        class RecordingPool:
+            # runs blocks inline, so no thread is started whatever is asked for
+            def __init__(self, max_workers):
+                recorded.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(rng, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(rng.os, "cpu_count", lambda: cpus)
+        fn = lambda g, n: g.standard_normal(n)  # noqa: E731
+        out = map_replica_blocks(3, fn, RngStream(2), block_size=1, threads=10**6)
+        assert recorded == expected
+        assert np.array_equal(out, map_replica_blocks(3, fn, RngStream(2), block_size=1))
 
 
 class TestGrids:
