@@ -80,10 +80,17 @@ def _floats(text: str) -> list[float]:
 
 
 def _resolve_threads(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("SPDE_LAB_THREADS")
-    return int(env) if env else 1
+    """--threads, else SPDE_LAB_THREADS, else 1; a positive integer."""
+    source, raw = "--threads", value
+    if raw is None:
+        source, raw = "SPDE_LAB_THREADS", os.environ.get("SPDE_LAB_THREADS") or 1
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise InputError(f"{source} must be a positive integer, got {raw!r}")
+    return threads
 
 
 def _resolve_seed(args) -> int:
@@ -130,7 +137,7 @@ def run_simulate(cfg: dict, out: Path, threads: int = 1) -> None:
 
             x = map_replica_blocks(replicas, block, stream.substream(i << 32), threads=threads)
         elif model == "pam-white":
-            from .solvers import pam_euler_final_batch
+            from .solvers import solve_pam_euler
 
             grid = _auto_pam_grid(t, cfg["n_steps"], cfg.get("half_width"))
             vol = math.sqrt(grid.cell_volume)
@@ -138,7 +145,7 @@ def run_simulate(cfg: dict, out: Path, threads: int = 1) -> None:
 
             def block(gen, count, grid=grid, vol=vol, mid=mid):
                 w = gen.standard_normal((count,) + grid.cell_shape()) * vol
-                return pam_euler_final_batch(grid, w)[:, mid]
+                return solve_pam_euler(grid, w)[:, mid]
 
             x = map_replica_blocks(
                 replicas, block, stream.substream(i << 32), block_size=64, threads=threads
@@ -491,9 +498,10 @@ def main(argv=None) -> int:
             cfg.pop("threads", None)  # execution knob, never part of the experiment
         else:
             cfg = _resolve_config(args)
+        threads = _resolve_threads(args.threads)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _RUNNERS[args.command](cfg, out, threads=_resolve_threads(args.threads))
+        _RUNNERS[args.command](cfg, out, threads=threads)
         # config.json is the flat resolved config itself, re-runnable via --config
         (out / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
         return 0

@@ -21,9 +21,9 @@ from .errors import (
     InputError,
     NumericalError,
 )
-from .grids import SpaceTimeGrid
+from .grids import SpaceTimeGrid, TimeGrid
 from .kernels import HEAT, WAVE
-from .noise import NoiseSpec
+from .noise import NoiseSpec, time_factor_matrix
 from .rng import RngStream, map_replica_blocks
 
 # ---------------------------------------------------------------------------
@@ -228,7 +228,6 @@ def fk_second_moment(
     delta_floor: float | None = None,
     block_size: int = 128,
     threads: int = 1,
-    zero_interaction: bool = False,
 ) -> PathPairEstimate:
     """E[u(t,x)^2] for the multiplicative heat model via the two-path
     exponential functional
@@ -239,8 +238,7 @@ def fk_second_moment(
     evaluated per quadrature-cell pair with the exact alpha_H-weighted cell
     integral (no time-singularity error); the spatial factor uses path
     values at cell centers with |B^1 - B^2| floored at ``delta_floor``
-    (default: half a quadrature cell). ``zero_interaction`` is a test hook
-    that zeroes the interaction weights, making every replica exactly 1.
+    (default: half a quadrature cell).
     """
     if not t > 0:
         raise DomainError(f"t must be positive, got {t}")
@@ -264,11 +262,7 @@ def fk_second_moment(
         raise InputError(f"delta_floor must be positive, got {floor}")
 
     # exact alpha_H-weighted time integrals over cell pairs (Toeplitz in the lag)
-    h2 = 2.0 * hurst
-    m = np.abs(np.arange(n_quad)[:, None] - np.arange(n_quad)[None, :]).astype(float)
-    wt = 0.5 * delta**h2 * ((m + 1.0) ** h2 + np.abs(m - 1.0) ** h2 - 2.0 * m**h2)
-    if zero_interaction:
-        wt = np.zeros_like(wt)
+    wt = time_factor_matrix(TimeGrid(t, n_quad), spec.time_kernel)
     centers = (np.arange(n_quad) + 0.5) * delta
     gaps = np.diff(centers, prepend=0.0)
     sq_gaps = np.sqrt(gaps)

@@ -39,17 +39,15 @@ DEFAULT_CHOLESKY_CAP = 2048
 WHITE = "white"
 FRACTIONAL = "fractional"
 RIESZ = "riesz"
-RADIAL_SPECTRAL = "radial_spectral"
 
 
 @dataclass(frozen=True)
 class TimeKernel:
     kind: str
     hurst: float | None = None
-    exponent: float | None = None
 
     def __post_init__(self):
-        if self.kind not in (WHITE, FRACTIONAL, RADIAL_SPECTRAL):
+        if self.kind not in (WHITE, FRACTIONAL):
             raise DomainError(f"unknown time kernel {self.kind!r}")
         if self.kind == FRACTIONAL and not (0.5 < (self.hurst or 0) < 1.0):
             raise DomainError(f"fractional time kernel needs H in (1/2,1), got {self.hurst}")
@@ -62,19 +60,14 @@ class TimeKernel:
     def fractional(hurst: float) -> "TimeKernel":
         return TimeKernel(FRACTIONAL, hurst=hurst)
 
-    @staticmethod
-    def radial_spectral(exponent: float) -> "TimeKernel":
-        return TimeKernel(RADIAL_SPECTRAL, exponent=exponent)
-
 
 @dataclass(frozen=True)
 class SpaceKernel:
     kind: str
     alpha: float | None = None
-    exponent: float | None = None
 
     def __post_init__(self):
-        if self.kind not in (WHITE, RIESZ, RADIAL_SPECTRAL):
+        if self.kind not in (WHITE, RIESZ):
             raise DomainError(f"unknown space kernel {self.kind!r}")
         if self.kind == RIESZ and not (self.alpha or 0) > 0:
             raise DomainError(f"Riesz kernel needs alpha > 0, got {self.alpha}")
@@ -86,10 +79,6 @@ class SpaceKernel:
     @staticmethod
     def riesz(alpha: float) -> "SpaceKernel":
         return SpaceKernel(RIESZ, alpha=alpha)
-
-    @staticmethod
-    def radial_spectral(exponent: float) -> "SpaceKernel":
-        return SpaceKernel(RADIAL_SPECTRAL, exponent=exponent)
 
 
 @dataclass(frozen=True)
@@ -194,13 +183,15 @@ def fbm_covariance_matrix(hurst: float, times: np.ndarray) -> np.ndarray:
     return 0.5 * (tt**h2 + ss**h2 - np.abs(tt - ss) ** h2)
 
 
-def cholesky_with_jitter(
-    cov: np.ndarray, eps_start: float = 1e-14, eps_max: float = 1e-10
-) -> tuple[np.ndarray, float]:
+_JITTER_EPS_START = 1e-14
+_JITTER_EPS_MAX = 1e-10
+
+
+def cholesky_with_jitter(cov: np.ndarray) -> tuple[np.ndarray, float]:
     """Cholesky factor with an escalating diagonal jitter eps * trace / n.
 
-    eps doubles from eps_start up to eps_max; beyond that the matrix is
-    declared numerically non-PSD.
+    eps doubles from 1e-14 up to 1e-10; beyond that the matrix is declared
+    numerically non-PSD.
     """
     cov = np.asarray(cov, dtype=float)
     n = cov.shape[0]
@@ -209,34 +200,29 @@ def cholesky_with_jitter(
     except np.linalg.LinAlgError:
         pass
     scale = np.trace(cov) / n
-    eps = eps_start
-    while eps <= eps_max:
+    eps = _JITTER_EPS_START
+    while eps <= _JITTER_EPS_MAX:
         try:
             L = np.linalg.cholesky(cov + eps * scale * np.eye(n))
             return L, eps * scale
         except np.linalg.LinAlgError:
             eps *= 2.0
     raise NumericalError(
-        f"covariance matrix not positive semidefinite within jitter {eps_max} * trace/n"
+        f"covariance matrix not positive semidefinite within jitter "
+        f"{_JITTER_EPS_MAX} * trace/n"
     )
 
 
-def sample_fbm_paths(
-    hurst: float,
-    grid: TimeGrid,
-    rng,
-    n_paths: int = 1,
-    cholesky_cap: int = DEFAULT_CHOLESKY_CAP,
-) -> np.ndarray:
+def sample_fbm_paths(hurst: float, grid: TimeGrid, rng, n_paths: int = 1) -> np.ndarray:
     """Zero-mean paths with pairwise covariance R_H on the nodes, B^H_0 = 0.
 
     Exact Cholesky factorization of the node covariance; grids are capped at
-    ``cholesky_cap`` nodes.
+    DEFAULT_CHOLESKY_CAP nodes.
     """
-    if grid.n_steps > cholesky_cap:
+    if grid.n_steps > DEFAULT_CHOLESKY_CAP:
         raise InputError(
             f"fBm sampling factorizes an n x n covariance; n_steps={grid.n_steps} "
-            f"exceeds the cap {cholesky_cap}"
+            f"exceeds the cap {DEFAULT_CHOLESKY_CAP}"
         )
     nodes = grid.nodes()[1:]
     L, _ = cholesky_with_jitter(fbm_covariance_matrix(hurst, nodes))
@@ -436,13 +422,9 @@ def cell_covariance(cell_a: Cell, cell_b: Cell, spec: NoiseSpec) -> float:
     tk = spec.time_kernel
     if tk.kind == WHITE:
         tfac = _interval_overlap(cell_a.t_lo, cell_a.t_hi, cell_b.t_lo, cell_b.t_hi)
-    elif tk.kind == FRACTIONAL:
+    else:
         tfac = fractional_time_cell_integral(
             tk.hurst, cell_a.t_lo, cell_a.t_hi, cell_b.t_lo, cell_b.t_hi
-        )
-    else:
-        raise CapabilityError(
-            "cell covariance supports white/fractional time kernels only"
         )
 
     sk = spec.space_kernel
@@ -452,12 +434,10 @@ def cell_covariance(cell_a: Cell, cell_b: Cell, spec: NoiseSpec) -> float:
             sfac *= _interval_overlap(
                 cell_a.x_lo[i], cell_a.x_hi[i], cell_b.x_lo[i], cell_b.x_hi[i]
             )
-    elif sk.kind == RIESZ:
+    else:
         sfac = riesz_cell_integral(
             sk.alpha, cell_a.x_lo, cell_a.x_hi, cell_b.x_lo, cell_b.x_hi, dim
         )
-    else:
-        raise CapabilityError("cell covariance supports white/riesz space kernels only")
     return tfac * sfac
 
 
@@ -470,19 +450,15 @@ def time_factor_matrix(tgrid: TimeGrid, tk: TimeKernel) -> np.ndarray:
     n, dt = tgrid.n_steps, tgrid.dt
     if tk.kind == WHITE:
         return np.eye(n) * dt
-    if tk.kind == FRACTIONAL:
-        h2 = 2.0 * tk.hurst
-        m = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]).astype(float)
-        return 0.5 * dt**h2 * ((m + 1) ** h2 + np.abs(m - 1) ** h2 - 2 * m**h2)
-    raise CapabilityError("time factor matrices support white/fractional kernels only")
+    h2 = 2.0 * tk.hurst
+    m = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]).astype(float)
+    return 0.5 * dt**h2 * ((m + 1) ** h2 + np.abs(m - 1) ** h2 - 2 * m**h2)
 
 
 def space_factor_matrix(grid: SpaceTimeGrid, sk: SpaceKernel) -> np.ndarray:
     n_sp = grid.n_space_cells
     if sk.kind == WHITE:
         return np.eye(n_sp) * grid.dx**grid.dim
-    if sk.kind != RIESZ:
-        raise CapabilityError("space factor matrices support white/riesz kernels only")
     if not sk.alpha < grid.dim:
         raise DomainError(f"Riesz kernel needs alpha < d; alpha={sk.alpha}, d={grid.dim}")
     if grid.dim == 1:
@@ -524,16 +500,11 @@ class HomogeneousNoiseSampler:
     about PSD-ness and exactness are only validated at desk scale.
     """
 
-    def __init__(
-        self,
-        grid: SpaceTimeGrid,
-        spec: NoiseSpec,
-        cholesky_cap: int = DEFAULT_CHOLESKY_CAP,
-    ):
+    def __init__(self, grid: SpaceTimeGrid, spec: NoiseSpec):
         total = grid.time.n_steps * grid.n_space_cells
-        if total > cholesky_cap:
+        if total > DEFAULT_CHOLESKY_CAP:
             raise InputError(
-                f"grid has {total} cells, exceeding the Cholesky cap {cholesky_cap}"
+                f"grid has {total} cells, exceeding the Cholesky cap {DEFAULT_CHOLESKY_CAP}"
             )
         spec.validate_for_dim(grid.dim)
         self.grid = grid
@@ -561,11 +532,6 @@ class HomogeneousNoiseSampler:
         return Field(self.grid, self.sample_batch(rng, 1)[0], label="homogeneous_noise")
 
 
-def sample_homogeneous_noise(
-    grid: SpaceTimeGrid,
-    spec: NoiseSpec,
-    rng,
-    cholesky_cap: int = DEFAULT_CHOLESKY_CAP,
-) -> Field:
+def sample_homogeneous_noise(grid: SpaceTimeGrid, spec: NoiseSpec, rng) -> Field:
     """One draw of the homogeneous noise cell masses (see the sampler class)."""
-    return HomogeneousNoiseSampler(grid, spec, cholesky_cap).sample(rng)
+    return HomogeneousNoiseSampler(grid, spec).sample(rng)

@@ -45,20 +45,19 @@ def as_generator(rng: "RngStream | np.random.Generator") -> np.random.Generator:
     raise InputError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
 
 
-def map_replica_blocks(
+def replica_blocks(
     n_replicas: int,
     fn,
     stream: RngStream,
     block_size: int = DEFAULT_BLOCK_SIZE,
     threads: int = 1,
-) -> np.ndarray:
-    """Evaluate ``fn(generator, count)`` over replica blocks, deterministically.
+):
+    """Yield ``(start, fn(generator, count))`` for each replica block, in block order.
 
-    Block b uses the derived stream ``stream.substream(b)``; results are
-    copied in block order into one array allocated from the first block's
-    shape and dtype, so the output is bit-identical for any thread count
-    (the ordered-reduction contract). ``fn`` must return an array whose
-    leading dimension is ``count``.
+    Block b uses the derived stream ``stream.substream(b)``; ``fn`` must
+    return an array whose leading dimension is ``count``. The order does not
+    depend on the thread count, so a consumer that reduces blocks as they
+    arrive holds only the blocks in flight and stays bit-identical.
     """
     if n_replicas <= 0:
         raise InputError("n_replicas must be positive")
@@ -75,22 +74,37 @@ def map_replica_blocks(
             )
         return out
 
-    def collect(blocks) -> np.ndarray:
-        result = None
-        for start, block in zip(starts, blocks):
-            if result is None:
-                result = np.empty((n_replicas,) + block.shape[1:], dtype=block.dtype)
-            elif block.shape[1:] != result.shape[1:]:
-                raise InputError(
-                    f"replica fn returned trailing shape {block.shape[1:]}, "
-                    f"expected {result.shape[1:]}"
-                )
-            result[start : start + block.shape[0]] = block
-        return result
-
     # more workers than blocks or cores only adds blocks in flight
     workers = min(threads, len(counts), os.cpu_count() or 1)
     if workers <= 1:
-        return collect(run_block(b) for b in range(len(counts)))
+        for b, start in enumerate(starts):
+            yield start, run_block(b)
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return collect(pool.map(run_block, range(len(counts))))
+        yield from zip(starts, pool.map(run_block, range(len(counts))))
+
+
+def map_replica_blocks(
+    n_replicas: int,
+    fn,
+    stream: RngStream,
+    block_size: int = DEFAULT_BLOCK_SIZE,
+    threads: int = 1,
+) -> np.ndarray:
+    """Evaluate ``fn(generator, count)`` over replica blocks, deterministically.
+
+    The blocks of ``replica_blocks`` are copied in block order into one
+    array allocated from the first block's shape and dtype, so the output is
+    bit-identical for any thread count (the ordered-reduction contract).
+    """
+    result = None
+    for start, block in replica_blocks(n_replicas, fn, stream, block_size, threads):
+        if result is None:
+            result = np.empty((n_replicas,) + block.shape[1:], dtype=block.dtype)
+        elif block.shape[1:] != result.shape[1:]:
+            raise InputError(
+                f"replica fn returned trailing shape {block.shape[1:]}, "
+                f"expected {result.shape[1:]}"
+            )
+        result[start : start + block.shape[0]] = block
+    return result

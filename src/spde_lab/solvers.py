@@ -41,7 +41,7 @@ from .field import Field
 from .grids import SpaceTimeGrid
 from .kernels import heat_kernel
 from .noise import HomogeneousNoiseSampler, NoiseSpec
-from .rng import DEFAULT_BLOCK_SIZE, RngStream, as_generator, map_replica_blocks
+from .rng import DEFAULT_BLOCK_SIZE, RngStream, as_generator, map_replica_blocks, replica_blocks
 from .special import HermiteTable, std_normal_cdf
 
 # ---------------------------------------------------------------------------
@@ -155,6 +155,55 @@ def ito_sum(integrand_left: np.ndarray, increments: np.ndarray):
     return np.sum(x * db, axis=-1)
 
 
+def _ito_cumsum(phi: np.ndarray) -> np.ndarray:
+    """Node values of the Ito sums of phi (R, nt): node 0 is 0, node k sums cells < k."""
+    out = np.zeros((phi.shape[0], phi.shape[1] + 1) + phi.shape[2:])
+    np.cumsum(phi, axis=1, out=out[:, 1:])
+    return out
+
+
+def _picard_trace(
+    sigma, causal_sum, cells, scale, rng, n_iter, replicas, initial, block_size, threads
+) -> PicardTrace:
+    """Picard loop of the SDE and heat schemes, from u_0 = 0:
+
+    u_(n+1) = causal_sum(sigma(u_n at left endpoints) * noise) + initial,
+
+    one noise array of shape ``cells`` (time first) times ``scale`` per
+    replica; ``causal_sum`` maps (R, nt, ...) integrands to (R, nt+1, ...)
+    node values. Blocks are reduced as they arrive: squared successive
+    differences are added to one running sum replica by replica, the order
+    a mean over the replica axis adds them in.
+    """
+    if n_iter < 1:
+        raise InputError(f"n_iter must be >= 1, got {n_iter}")
+    nodes = (cells[0] + 1,) + cells[1:]
+
+    def block(gen, count):
+        noise = gen.standard_normal((count,) + cells)
+        noise *= scale
+        # rows 0..n_iter-1: squared successive differences; row n_iter: final path
+        out = np.empty((count, n_iter + 1) + nodes)
+        u_prev = np.zeros((count,) + nodes)
+        for m in range(n_iter):
+            u_next = causal_sum(np.asarray(sigma(u_prev[:, :-1])) * noise)
+            u_next += initial
+            np.subtract(u_next, u_prev, out=out[:, m])
+            np.square(out[:, m], out=out[:, m])
+            u_prev = u_next
+        out[:, n_iter] = u_prev
+        return out
+
+    sq_sum = np.zeros((n_iter,) + nodes)
+    for start, out in replica_blocks(replicas, block, rng, block_size, threads):
+        if start == 0:
+            final = out[0, n_iter].copy()
+        for sq in out[:, :n_iter]:
+            sq_sum += sq
+    diffs = (sq_sum / replicas).reshape(n_iter, -1).max(axis=1)
+    return PicardTrace(diffs, n_iter, replicas, final_sample=final)
+
+
 def solve_sde_picard(
     sigma: LipschitzFn,
     grid,
@@ -173,25 +222,10 @@ def solve_sde_picard(
     (sigma(x) = x) needs ``initial=1``: with zero initial value its unique
     solution is identically zero and every iterate vanishes.
     """
-    if n_iter < 1:
-        raise InputError(f"n_iter must be >= 1, got {n_iter}")
-
-    def block(gen, count):
-        db = gen.standard_normal((count, grid.n_steps)) * math.sqrt(grid.dt)
-        x_prev = np.zeros((count, grid.n_steps + 1))
-        sq_sums = np.empty((count, n_iter, grid.n_steps + 1))
-        for m in range(n_iter):
-            x_next = np.full_like(x_prev, initial)
-            x_next[:, 1:] += np.cumsum(np.asarray(sigma(x_prev[:, :-1])) * db, axis=1)
-            sq_sums[:, m] = (x_next - x_prev) ** 2
-            x_prev = x_next
-        # keep per-replica squares plus the final path for the caller
-        return np.concatenate([sq_sums, x_prev[:, None, :]], axis=1)
-
-    out = map_replica_blocks(replicas, block, rng, block_size, threads)
-    sq = out[:, :n_iter, :]
-    diffs = sq.mean(axis=0).max(axis=1)
-    return PicardTrace(diffs, n_iter, replicas, final_sample=out[0, n_iter, :])
+    return _picard_trace(
+        sigma, _ito_cumsum, (grid.n_steps,), math.sqrt(grid.dt),
+        rng, n_iter, replicas, initial, block_size, threads,
+    )
 
 
 def geometric_bm(times: np.ndarray, path: np.ndarray) -> np.ndarray:
@@ -265,6 +299,15 @@ def _heat_kernel_vector(grid: SpaceTimeGrid, s: float) -> np.ndarray:
     return heat_kernel(s, _periodic_displacements(grid), 1)
 
 
+def _lagged_heat_kernels(grid: SpaceTimeGrid) -> np.ndarray:
+    """g[0] = 0, g[m] = G((m-1/2) dt, periodic displacements), m = 1..nt."""
+    nt, dt = grid.time.n_steps, grid.time.dt
+    g = np.zeros((nt + 1, grid.n_cells))
+    for m in range(1, nt + 1):
+        g[m] = _heat_kernel_vector(grid, (m - 0.5) * dt)
+    return g
+
+
 # padded space-time spectra of one convolution chunk stay near this size
 _CONV_CHUNK_BYTES = 64 * 2**20
 
@@ -287,12 +330,9 @@ class _LinearHeatKernels:
     def __init__(self, grid: SpaceTimeGrid):
         if grid.dim != 1:
             raise CapabilityError("linear heat solver supports d = 1 only")
-        nt, dt = grid.time.n_steps, grid.time.dt
-        g = np.zeros((nt + 1, grid.n_cells))
-        for m in range(1, nt + 1):
-            g[m] = _heat_kernel_vector(grid, (m - 0.5) * dt)
+        g = _lagged_heat_kernels(grid)
         # time axis last: shape (n_cells // 2 + 1, 2 nt)
-        self.spectrum = np.fft.fft(np.fft.rfft(g, axis=1).T, n=2 * nt, axis=1)
+        self.spectrum = np.fft.fft(np.fft.rfft(g, axis=1).T, n=2 * grid.time.n_steps, axis=1)
 
     def convolve(self, phi: np.ndarray, rows) -> np.ndarray:
         """u at the time nodes ``rows`` for integrands phi of shape (R, nt, nx).
@@ -339,13 +379,12 @@ def linear_heat_point_weights(grid: SpaceTimeGrid, k: int, ix: int) -> np.ndarra
     """Weights A with u(t_k, x_ix) = sum over cells A[j, i] W[j, i]."""
     if grid.dim != 1:
         raise CapabilityError("linear heat solver supports d = 1 only")
-    nt, nx, dt = grid.time.n_steps, grid.n_cells, grid.time.dt
+    nt = grid.time.n_steps
     if not 0 <= k <= nt:
         raise InputError(f"time index {k} outside 0..{nt}")
-    a = np.zeros((nt, nx))
-    disp = _periodic_displacements(grid)
-    for j in range(0, k):
-        a[j] = heat_kernel((k - j - 0.5) * dt, np.roll(disp, ix), 1)
+    # row j < k holds g[k - j], centred on x_ix
+    a = np.zeros((nt, grid.n_cells))
+    a[:k] = np.roll(_lagged_heat_kernels(grid)[k:0:-1], ix, axis=1)
     return a
 
 
@@ -425,35 +464,12 @@ def solve_nonlinear_heat_picard(
     As for the SDE scheme, the multiplicative coefficient sigma(x) = x is
     only non-degenerate with ``initial=1`` (the Anderson-model setup).
     """
-    if n_iter < 1:
-        raise InputError(f"n_iter must be >= 1, got {n_iter}")
-    if grid.dim != 1:
-        raise CapabilityError("nonlinear heat Picard supports d = 1 only")
     kernels = _LinearHeatKernels(grid)
-    nt, nx = grid.time.n_steps, grid.n_cells
-    nodes = np.arange(nt + 1)
-    scale = math.sqrt(grid.cell_volume)
-
-    def block(gen, count):
-        w = gen.standard_normal((count, nt, nx))
-        w *= scale
-        # rows 0..n_iter-1: squared successive differences; row n_iter: final path
-        out = np.empty((count, n_iter + 1, nt + 1, nx))
-        u_prev = np.zeros((count, nt + 1, nx))
-        for m in range(n_iter):
-            integrand = np.asarray(sigma(u_prev[:, :-1, :])) * w
-            u_next = kernels.convolve(integrand, nodes)
-            u_next += initial
-            np.subtract(u_next, u_prev, out=out[:, m])
-            np.square(out[:, m], out=out[:, m])
-            u_prev = u_next
-        out[:, n_iter] = u_prev
-        return out
-
-    out = map_replica_blocks(replicas, block, rng, block_size, threads)
-    sq = out[:, :n_iter]
-    diffs = sq.mean(axis=0).reshape(n_iter, -1).max(axis=1)
-    return PicardTrace(diffs, n_iter, replicas, final_sample=out[0, n_iter])
+    nodes = np.arange(grid.time.n_steps + 1)
+    return _picard_trace(
+        sigma, lambda phi: kernels.convolve(phi, nodes), grid.cell_shape(),
+        math.sqrt(grid.cell_volume), rng, n_iter, replicas, initial, block_size, threads,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -528,41 +544,31 @@ def _one_step_matrices(grid: SpaceTimeGrid) -> tuple[np.ndarray, np.ndarray]:
     return m * grid.dx, m
 
 
-def solve_pam_euler(grid: SpaceTimeGrid, noise: Field, initial: float = 1.0) -> Field:
-    """Mild Euler marching for the multiplicative heat model, u(0, .) = 1:
+def solve_pam_euler(grid: SpaceTimeGrid, noise: np.ndarray, initial: float = 1.0) -> np.ndarray:
+    """Mild Euler marching for the multiplicative heat model, u(0, .) = initial:
 
     u(t_(k+1), x) = sum_y G(dt, x-y) [ u(t_k, y) dx + u(t_k, y) W(cell_(k,y)) ]
 
-    with periodic wrap at +-L. For white-in-time noise the adapted product
-    makes this an Ito scheme. For time-correlated noise the same product
-    picks up the noise's interaction with the past (a Stratonovich-type
-    trace), so moments drift above the Wick-product solution's; use
-    WickPamSampler for moment comparisons against Wick-calculus formulas.
+    with periodic wrap at +-L. ``noise`` is a batch of cell-mass sheets of
+    shape (R, n_steps, n_cells); the result is the final-time values, shape
+    (R, n_cells). For white-in-time noise the adapted product makes this an
+    Ito scheme. For time-correlated noise the same product picks up the
+    noise's interaction with the past (a Stratonovich-type trace), so
+    moments drift above the Wick-product solution's; use WickPamSampler for
+    moment comparisons against Wick-calculus formulas.
     """
-    if noise.grid != grid:
-        raise InputError("noise field was sampled on a different grid")
-    if noise.on_nodes:
-        raise InputError("noise must be cell-indexed")
     if grid.dim != 1:
         raise CapabilityError("mild Euler marching supports d = 1 only")
+    w = np.asarray(noise)
+    if w.shape[1:] != grid.cell_shape():
+        raise InputError(
+            f"noise sheets have shape {w.shape[1:]}, the grid needs {grid.cell_shape()}"
+        )
     nt, nx = grid.time.n_steps, grid.n_cells
     kern_hat = np.fft.rfft(_heat_kernel_vector(grid, grid.time.dt))
-    u = np.empty((nt + 1, nx))
-    u[0] = initial
-    w = noise.values
+    u = np.full((w.shape[0], nx), float(initial))
     for k in range(nt):
-        combined = u[k] * (grid.dx + w[k])
-        u[k + 1] = np.fft.irfft(kern_hat * np.fft.rfft(combined), n=nx)
-    return Field(grid, u, label="pam_euler")
-
-
-def pam_euler_final_batch(grid: SpaceTimeGrid, w_batch: np.ndarray, initial: float = 1.0):
-    """Final-time values of the Euler marching for a batch of noise sheets."""
-    nt, nx = grid.time.n_steps, grid.n_cells
-    kern_hat = np.fft.rfft(_heat_kernel_vector(grid, grid.time.dt))
-    u = np.full((w_batch.shape[0], nx), float(initial))
-    for k in range(nt):
-        combined = u * (grid.dx + w_batch[:, k])
+        combined = u * (grid.dx + w[:, k])
         u = np.fft.irfft(kern_hat * np.fft.rfft(combined, axis=1), n=nx, axis=1)
     return u
 
@@ -581,11 +587,11 @@ class WickPamSampler:
     not converge to that solution when the noise is correlated in time.
     """
 
-    def __init__(self, grid: SpaceTimeGrid, spec: NoiseSpec, cholesky_cap: int = 2048):
+    def __init__(self, grid: SpaceTimeGrid, spec: NoiseSpec):
         if grid.dim != 1:
             raise CapabilityError("Wick chaos marching supports d = 1 only")
         self.grid = grid
-        self.sampler = HomogeneousNoiseSampler(grid, spec, cholesky_cap)
+        self.sampler = HomogeneousNoiseSampler(grid, spec)
         self.p_step, self.m_step = _one_step_matrices(grid)
         nt, nx = grid.time.n_steps, grid.n_cells
         t_cov, s_cov = self.sampler.time_cov, self.sampler.space_cov
@@ -613,11 +619,10 @@ class WickPamSampler:
             u1 = u1 @ pt + w[:, k] @ mt
         return u1, u2
 
-    def second_moment_samples(self, rng, n: int, center_fraction: float = 0.5):
-        """Per-replica spatial averages of (1 + U1 + U2)^2 over the center cells."""
+    def second_moment_samples(self, rng, n: int):
+        """Per-replica spatial averages of (1 + U1 + U2)^2 over the center half."""
         u1, u2 = self.sample_chaos(rng, n)
         nx = self.grid.n_cells
-        lo = int(nx * (0.5 - center_fraction / 2))
-        hi = int(nx * (0.5 + center_fraction / 2))
+        lo, hi = int(nx * 0.25), int(nx * 0.75)
         vals = (1.0 + u1[:, lo:hi] + u2[:, lo:hi]) ** 2
         return vals.mean(axis=1)

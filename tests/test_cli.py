@@ -132,6 +132,16 @@ class TestSimulateCommand:
         assert run(args + ["--out", b]) == 0
         assert (a / "moments.csv").read_bytes() == (b / "moments.csv").read_bytes()
 
+    @pytest.mark.parametrize("env, flag", [("two", None), ("0", None), (None, "0")])
+    def test_bad_thread_count_exits_2(self, tmp_path, monkeypatch, capsys, env, flag):
+        if env is not None:
+            monkeypatch.setenv("SPDE_LAB_THREADS", env)
+        extra = [] if flag is None else ["--threads", flag]
+        code = run(["chaos", "--model", "gbm", "--seed", "1", "--out", tmp_path] + extra)
+        assert code == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "InputError"
+
     def test_pam_white_model(self, tmp_path):
         assert run(["simulate", "--model", "pam-white", "--t", "0.25",
                     "--n-steps", "32", "--p", "2", "--replicas", "200",

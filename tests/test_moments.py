@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spde_lab import moments
 from spde_lab.errors import (
     CapabilityError,
     ConditionNotSatisfiedError,
@@ -163,10 +164,12 @@ class TestIntermittency:
 class TestFkSecondMoment:
     SPEC = NoiseSpec.fractional_riesz(0.7, 0.5)
 
-    def test_zero_interaction_hook(self):
-        est = fk_second_moment(
-            0.25, self.SPEC, 1, 200, 32, RngStream(5), zero_interaction=True
+    def test_zero_interaction_hook(self, monkeypatch):
+        # zero interaction weights make every replica exactly 1
+        monkeypatch.setattr(
+            moments, "time_factor_matrix", lambda tgrid, tk: np.zeros((tgrid.n_steps,) * 2)
         )
+        est = fk_second_moment(0.25, self.SPEC, 1, 200, 32, RngStream(5))
         assert est.estimate == 1.0 and est.stderr == 0.0
 
     def test_small_time_limit(self):

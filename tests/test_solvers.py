@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spde_lab import solvers
 from spde_lab.errors import CapabilityError, DomainError, InputError
 from spde_lab.field import Field
 from spde_lab.grids import SpaceTimeGrid, TimeGrid
@@ -13,7 +15,7 @@ from spde_lab.noise import (
     sample_bm_paths,
     sample_white_noise_sheet,
 )
-from spde_lab.rng import RngStream
+from spde_lab.rng import RngStream, map_replica_blocks
 from spde_lab.solvers import (
     LipschitzFn,
     WickPamSampler,
@@ -28,7 +30,6 @@ from spde_lab.solvers import (
     linear_heat_point_weights,
     pam_chaos_series,
     pam_chaos_term_variance,
-    pam_euler_final_batch,
     pam_log_second_moment,
     pam_second_moment,
     pam_second_moment_closed_form,
@@ -76,6 +77,94 @@ class TestItoSum:
             rms.append(np.sqrt((resid**2).mean()))
         assert rms[0] / rms[1] >= 1.3
         assert rms[1] / rms[2] >= 1.3
+
+
+def old_sde_picard(sigma, grid, rng, n_iter, replicas, initial, block_size, threads):
+    """The SDE Picard driver as it was before the shared loop; the oracle."""
+
+    def block(gen, count):
+        db = gen.standard_normal((count, grid.n_steps)) * math.sqrt(grid.dt)
+        x_prev = np.zeros((count, grid.n_steps + 1))
+        sq_sums = np.empty((count, n_iter, grid.n_steps + 1))
+        for m in range(n_iter):
+            x_next = np.full_like(x_prev, initial)
+            x_next[:, 1:] += np.cumsum(np.asarray(sigma(x_prev[:, :-1])) * db, axis=1)
+            sq_sums[:, m] = (x_next - x_prev) ** 2
+            x_prev = x_next
+        return np.concatenate([sq_sums, x_prev[:, None, :]], axis=1)
+
+    out = map_replica_blocks(replicas, block, rng, block_size, threads)
+    return out[:, :n_iter, :].mean(axis=0).max(axis=1), out[0, n_iter, :]
+
+
+def old_heat_picard(sigma, grid, rng, n_iter, replicas, initial, block_size, threads):
+    """The heat Picard driver as it was before the shared loop; the oracle."""
+    kernels = solvers._LinearHeatKernels(grid)
+    nt, nx = grid.time.n_steps, grid.n_cells
+    nodes = np.arange(nt + 1)
+    scale = math.sqrt(grid.cell_volume)
+
+    def block(gen, count):
+        w = gen.standard_normal((count, nt, nx))
+        w *= scale
+        out = np.empty((count, n_iter + 1, nt + 1, nx))
+        u_prev = np.zeros((count, nt + 1, nx))
+        for m in range(n_iter):
+            integrand = np.asarray(sigma(u_prev[:, :-1, :])) * w
+            u_next = kernels.convolve(integrand, nodes)
+            u_next += initial
+            np.subtract(u_next, u_prev, out=out[:, m])
+            np.square(out[:, m], out=out[:, m])
+            u_prev = u_next
+        out[:, n_iter] = u_prev
+        return out
+
+    out = map_replica_blocks(replicas, block, rng, block_size, threads)
+    return out[:, :n_iter].mean(axis=0).reshape(n_iter, -1).max(axis=1), out[0, n_iter]
+
+
+ORACLE_SIGMAS = [
+    pytest.param(LipschitzFn.identity(), id="identity"),
+    pytest.param(LipschitzFn.bounded_smooth("sin"), id="sin"),
+    pytest.param(LipschitzFn.affine(0.5, 0.3), id="affine"),
+]
+
+
+class TestPicardOracles:
+    # 10 replicas in blocks of 3: the last block is short
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("sigma", ORACLE_SIGMAS)
+    def test_sde_bit_identical_to_old_driver(self, sigma, threads):
+        args = (sigma, TimeGrid(0.5, 32), RngStream(41), 5, 10, 1.0, 3, threads)
+        tr = solve_sde_picard(*args)
+        diffs, final = old_sde_picard(*args)
+        assert tr.sup_sq_diffs.tobytes() == diffs.tobytes()
+        assert tr.final_sample.tobytes() == final.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("sigma", ORACLE_SIGMAS)
+    def test_heat_bit_identical_to_old_driver(self, sigma, threads):
+        grid = SpaceTimeGrid(TimeGrid(0.25, 16), 2.0, 32)
+        args = (sigma, grid, RngStream(42), 4, 10, 1.0, 3, threads)
+        tr = solve_nonlinear_heat_picard(*args)
+        diffs, final = old_heat_picard(*args)
+        assert tr.sup_sq_diffs.tobytes() == diffs.tobytes()
+        assert tr.final_sample.tobytes() == final.tobytes()
+
+    def test_holds_only_blocks_in_flight(self):
+        grid = SpaceTimeGrid(TimeGrid(0.25, 16), 2.0, 32)
+        n_iter, replicas = 4, 2000
+        full_bytes = replicas * (n_iter + 1) * 17 * 32 * 8
+        tracemalloc.start()
+        try:
+            solve_nonlinear_heat_picard(
+                LipschitzFn.identity(), grid, RngStream(43), n_iter, replicas,
+                initial=1.0, block_size=100,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * full_bytes
 
 
 class TestSdePicard:
@@ -260,6 +349,23 @@ class TestLinearHeat:
         a = linear_heat_point_weights(grid, 16, 12)
         assert np.sum(a * w.values) == pytest.approx(u[16, 12], rel=1e-12)
 
+    @pytest.mark.parametrize("k, ix", [(0, 3), (1, 0), (16, 12), (9, 23)])
+    def test_point_weights_bit_identical_to_lag_loop(self, k, ix):
+        grid = self._grid()
+        nt, nx, dt = grid.time.n_steps, grid.n_cells, grid.time.dt
+        disp = (((np.arange(nx) + nx // 2) % nx) - nx // 2) * grid.dx
+        oracle = np.zeros((nt, nx))
+        for j in range(0, k):
+            oracle[j] = heat_kernel((k - j - 0.5) * dt, np.roll(disp, ix), 1)
+        assert linear_heat_point_weights(grid, k, ix).tobytes() == oracle.tobytes()
+
+        def block(gen, count):
+            z = gen.standard_normal((count,) + oracle.shape)
+            return math.sqrt(grid.cell_volume) * np.tensordot(z, oracle, axes=((1, 2), (0, 1)))
+
+        x = linear_heat_point_samples(grid, k, ix, 10, RngStream(44), block_size=3, threads=2)
+        assert x.tobytes() == map_replica_blocks(10, block, RngStream(44), 3).tobytes()
+
     def test_point_samples_match_per_replica_solves(self):
         grid = self._grid()
         samples = linear_heat_point_samples(grid, 16, 12, 3, RngStream(9), block_size=1)
@@ -395,11 +501,40 @@ class TestPamChaos:
         assert series.partial_sums[-1] == pytest.approx(series.closed_form, abs=1e-9)
 
 
+def old_pam_euler_final_batch(grid, w_batch, initial=1.0):
+    """The batch Euler marcher as it was before the fold; the oracle."""
+    nt, nx = grid.time.n_steps, grid.n_cells
+    kern_hat = np.fft.rfft(heat_kernel(grid.time.dt, solvers._periodic_displacements(grid), 1))
+    u = np.full((w_batch.shape[0], nx), float(initial))
+    for k in range(nt):
+        combined = u * (grid.dx + w_batch[:, k])
+        u = np.fft.irfft(kern_hat * np.fft.rfft(combined, axis=1), n=nx, axis=1)
+    return u
+
+
 class TestPamEuler:
     def test_zero_noise_preserves_constant(self):
         grid = SpaceTimeGrid(TimeGrid(0.5, 512), 6.0, 512)
-        u = solve_pam_euler(grid, Field(grid, np.zeros(grid.cell_shape())))
-        assert np.abs(u.values - 1.0).max() < 1e-6
+        u = solve_pam_euler(grid, np.zeros((1,) + grid.cell_shape()))
+        assert u.shape == (1, 512)
+        assert np.abs(u - 1.0).max() < 1e-6
+
+    @pytest.mark.parametrize("initial", [1.0, 2.5])
+    def test_bit_identical_to_old_batch_marcher(self, initial):
+        grid = SpaceTimeGrid(TimeGrid(0.25, 16), 4.0, 32)
+        w = RngStream(45).generator().standard_normal((5,) + grid.cell_shape())
+        w *= math.sqrt(grid.cell_volume)
+        u = solve_pam_euler(grid, w, initial)
+        assert u.tobytes() == old_pam_euler_final_batch(grid, w, initial).tobytes()
+
+    def test_rejects_wrong_sheet_shape(self):
+        grid = SpaceTimeGrid(TimeGrid(0.25, 16), 4.0, 32)
+        for shape in ((2, 17, 32), (2, 16, 31), (16, 32)):
+            with pytest.raises(InputError):
+                solve_pam_euler(grid, np.zeros(shape))
+        grid2 = SpaceTimeGrid(TimeGrid(0.25, 4), 1.0, 4, dim=2)
+        with pytest.raises(CapabilityError):
+            solve_pam_euler(grid2, np.zeros((1,) + grid2.cell_shape()))
 
     def test_mean_one(self):
         grid = SpaceTimeGrid(TimeGrid(0.25, 64), 4.0, 128)
@@ -407,7 +542,7 @@ class TestPamEuler:
         for b in range(8):
             gen = RngStream(55, b).generator()
             w = gen.standard_normal((125, 64, 128)) * math.sqrt(grid.cell_volume)
-            vals.append(pam_euler_final_batch(grid, w)[:, 64])
+            vals.append(solve_pam_euler(grid, w)[:, 64])
         vals = np.concatenate(vals)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - 1.0) <= 3.0 * se
@@ -421,7 +556,7 @@ class TestPamEuler:
         for b in range(6):
             gen = RngStream(56, b).generator()
             w = gen.standard_normal((250, 512, 512)) * math.sqrt(grid.cell_volume)
-            sq.append(pam_euler_final_batch(grid, w)[:, 256] ** 2)
+            sq.append(solve_pam_euler(grid, w)[:, 256] ** 2)
         sq = np.concatenate(sq)
         se = sq.std(ddof=1) / math.sqrt(sq.size)
         assert abs(sq.mean() - target) <= 3.0 * se + 0.05 * target
@@ -478,7 +613,7 @@ class TestWickPam:
         # time-correlated noise: its mean drifts above 1
         sampler = HomogeneousNoiseSampler(self.GRID, self.SPEC)
         w = sampler.sample_batch(RngStream(61), 2000)
-        uf = pam_euler_final_batch(self.GRID, w)
+        uf = solve_pam_euler(self.GRID, w)
         m = uf[:, 32]
         se = m.std(ddof=1) / math.sqrt(m.size)
         assert m.mean() - 1.0 > 5.0 * se
