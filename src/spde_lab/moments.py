@@ -218,6 +218,9 @@ class PathPairEstimate:
         }
 
 
+_FK_PAIR_CHUNK_BYTES = 2**20
+
+
 def fk_second_moment(
     t: float,
     spec: NoiseSpec,
@@ -267,17 +270,24 @@ def fk_second_moment(
     gaps = np.diff(centers, prepend=0.0)
     sq_gaps = np.sqrt(gaps)
 
+    # pair arrays of about _FK_PAIR_CHUNK_BYTES, not a whole block's
+    rows = max(2, _FK_PAIR_CHUNK_BYTES // (8 * n_quad * n_quad * d))
+
     def block(gen, count):
         b1 = np.cumsum(gen.standard_normal((count, n_quad, d)) * sq_gaps[:, None], axis=1)
         b2 = np.cumsum(gen.standard_normal((count, n_quad, d)) * sq_gaps[:, None], axis=1)
-        diff = b1[:, :, None, :] - b2[:, None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=-1))
-        # sensitivity variant first: same paths, floor halved; raising the
-        # floor afterwards gives the same bits as flooring the raw distances
-        np.maximum(dist, floor / 2.0, out=dist)
-        a_half = np.einsum("ij,rij->r", wt, dist**-alpha)
-        np.maximum(dist, floor, out=dist)
-        a_full = np.einsum("ij,rij->r", wt, dist**-alpha)
+        a_half, a_full = np.empty((2, count))
+        # no lone replica is split off: einsum sums one in another order
+        edges = [*range(0, max(count - 1, 1), rows), count]
+        for lo, hi in zip(edges, edges[1:]):
+            diff = b1[lo:hi, :, None, :] - b2[lo:hi, None, :, :]
+            dist = np.sqrt(np.sum(diff * diff, axis=-1))
+            # sensitivity variant first: same paths, floor halved; raising the
+            # floor afterwards gives the same bits as flooring the raw distances
+            np.maximum(dist, floor / 2.0, out=dist)
+            a_half[lo:hi] = np.einsum("ij,rij->r", wt, dist**-alpha)
+            np.maximum(dist, floor, out=dist)
+            a_full[lo:hi] = np.einsum("ij,rij->r", wt, dist**-alpha)
         with np.errstate(over="ignore"):
             return np.column_stack([np.exp(a_full), np.exp(a_half)])
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,10 +228,57 @@ class TestFkSecondMoment:
 
         vals = map_replica_blocks(replicas, block, RngStream(11), 128)
         est = fk_second_moment(t, self.SPEC, 1, replicas, n_quad, RngStream(11))
-        assert est.estimate == vals[:, 0].mean()
-        assert est.estimate_half_floor == vals[:, 1].mean()
+        assert (est.estimate, est.estimate_half_floor) == tuple(vals.mean(axis=0))
         assert est.stderr == jackknife_stderr(vals[:, 0])
         assert est.stderr_half_floor == jackknife_stderr(vals[:, 1])
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_pair_chunks_bit_identical_to_whole_block(self, monkeypatch, d):
+        # oracle: the block as it was, with every pair array a whole block's;
+        # chunks of 3 replicas over blocks of 7 leave a trailing lone replica
+        # in each block, and 50 = 7 * 7 + 1 leaves a block of one
+        hurst, alpha, t, replicas, n_quad = 0.7, 0.5, 0.25, 50, 100
+        monkeypatch.setattr(moments, "_FK_PAIR_CHUNK_BYTES", 3 * 8 * n_quad * n_quad * d)
+        delta = t / n_quad
+        floor = delta / 2.0
+        h2 = 2.0 * hurst
+        m = np.abs(np.arange(n_quad)[:, None] - np.arange(n_quad)[None, :]).astype(float)
+        wt = 0.5 * delta**h2 * ((m + 1.0) ** h2 + np.abs(m - 1.0) ** h2 - 2.0 * m**h2)
+        sq_gaps = np.sqrt(np.diff((np.arange(n_quad) + 0.5) * delta, prepend=0.0))
+
+        def block(gen, count):
+            b1 = np.cumsum(gen.standard_normal((count, n_quad, d)) * sq_gaps[:, None], axis=1)
+            b2 = np.cumsum(gen.standard_normal((count, n_quad, d)) * sq_gaps[:, None], axis=1)
+            diff = b1[:, :, None, :] - b2[:, None, :, :]
+            dist = np.sqrt(np.sum(diff * diff, axis=-1))
+            np.maximum(dist, floor / 2.0, out=dist)
+            a_half = np.einsum("ij,rij->r", wt, dist**-alpha)
+            np.maximum(dist, floor, out=dist)
+            a_full = np.einsum("ij,rij->r", wt, dist**-alpha)
+            return np.column_stack([np.exp(a_full), np.exp(a_half)])
+
+        vals = map_replica_blocks(replicas, block, RngStream(12), 7)
+        for threads in (1, 2):
+            est = fk_second_moment(
+                t, self.SPEC, d, replicas, n_quad, RngStream(12), block_size=7, threads=threads
+            )
+            assert (est.estimate, est.estimate_half_floor) == tuple(vals.mean(axis=0))
+            assert est.stderr == jackknife_stderr(vals[:, 0])
+            assert est.stderr_half_floor == jackknife_stderr(vals[:, 1])
+
+    def test_pair_arrays_bounded_per_chunk(self):
+        # one block of 256 replicas at n_quad 64: its whole (256, 64, 64) pair
+        # array is 8 MB; the whole-block code peaked at 3.1 times that, the
+        # chunked one at 0.54 times
+        replicas, n_quad = 256, 64
+        whole = 8 * replicas * n_quad * n_quad
+        tracemalloc.start()
+        try:
+            fk_second_moment(0.2, self.SPEC, 1, replicas, n_quad, RngStream(3), block_size=256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < whole
 
 
 class TestHolderEstimate:
