@@ -482,12 +482,25 @@ def _resolve_config(args) -> dict:
     return cfg
 
 
+def _read_config(path: str) -> dict:
+    """The flat config dict held in a ``--config`` file."""
+    try:
+        cfg = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise InputError(f"cannot read config {path!r}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise InputError(f"config {path!r} is not JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise InputError(f"config {path!r} holds a JSON {type(cfg).__name__}, not an object")
+    return cfg
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = _parse_args(parser, argv)
     try:
         if args.config is not None:
-            cfg = json.loads(Path(args.config).read_text())
+            cfg = _read_config(args.config)
             unknown = set(cfg) - _config_keys(parser)
             if unknown:
                 raise InputError(f"unknown config keys: {sorted(unknown)}")

@@ -24,7 +24,7 @@ from .errors import (
 from .grids import SpaceTimeGrid, TimeGrid
 from .kernels import HEAT, WAVE
 from .noise import NoiseSpec, time_factor_matrix
-from .rng import RngStream, map_replica_blocks
+from .rng import RngStream, map_replica_blocks, row_chunks
 
 # ---------------------------------------------------------------------------
 # moment reports
@@ -218,9 +218,6 @@ class PathPairEstimate:
         }
 
 
-_FK_PAIR_CHUNK_BYTES = 2**20
-
-
 def fk_second_moment(
     t: float,
     spec: NoiseSpec,
@@ -270,16 +267,12 @@ def fk_second_moment(
     gaps = np.diff(centers, prepend=0.0)
     sq_gaps = np.sqrt(gaps)
 
-    # pair arrays of about _FK_PAIR_CHUNK_BYTES, not a whole block's
-    rows = max(2, _FK_PAIR_CHUNK_BYTES // (8 * n_quad * n_quad * d))
-
     def block(gen, count):
         b1 = np.cumsum(gen.standard_normal((count, n_quad, d)) * sq_gaps[:, None], axis=1)
         b2 = np.cumsum(gen.standard_normal((count, n_quad, d)) * sq_gaps[:, None], axis=1)
         a_half, a_full = np.empty((2, count))
-        # no lone replica is split off: einsum sums one in another order
-        edges = [*range(0, max(count - 1, 1), rows), count]
-        for lo, hi in zip(edges, edges[1:]):
+        # pair arrays one chunk of replicas at a time, not a whole block's
+        for lo, hi in row_chunks(count, 8 * n_quad * n_quad * d):
             diff = b1[lo:hi, :, None, :] - b2[lo:hi, None, :, :]
             dist = np.sqrt(np.sum(diff * diff, axis=-1))
             # sensitivity variant first: same paths, floor halved; raising the

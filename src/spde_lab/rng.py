@@ -9,6 +9,7 @@ distinct stream ids are statistically independent.
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -19,6 +20,22 @@ from .errors import InputError
 _MASK64 = (1 << 64) - 1
 
 DEFAULT_BLOCK_SIZE = 256
+
+# working arrays built per chunk of replica rows stay near this size
+CHUNK_BYTES = 2**20
+
+
+def row_chunks(count: int, row_bytes: int) -> list[tuple[int, int]]:
+    """``(lo, hi)`` ranges covering rows 0..count-1 at about CHUNK_BYTES each.
+
+    Every range holds at least two rows (unless count is 1), and a lone last
+    row is merged into the range before it: numpy reductions such as einsum
+    may sum a single row in another order than a stack of rows. The split
+    depends only on ``count`` and ``row_bytes``, never on the thread count.
+    """
+    rows = max(2, CHUNK_BYTES // row_bytes)
+    edges = [*range(0, max(count - 1, 1), rows), count]
+    return list(zip(edges, edges[1:]))
 
 
 @dataclass(frozen=True)
@@ -57,7 +74,9 @@ def replica_blocks(
     Block b uses the derived stream ``stream.substream(b)``; ``fn`` must
     return an array whose leading dimension is ``count``. The order does not
     depend on the thread count, so a consumer that reduces blocks as they
-    arrive holds only the blocks in flight and stays bit-identical.
+    arrive stays bit-identical. With a pool of ``workers`` threads at most
+    ``workers + 1`` blocks are submitted ahead of the consumer, so a slow
+    consumer holds a few finished blocks, never all of them.
     """
     if n_replicas <= 0:
         raise InputError("n_replicas must be positive")
@@ -81,7 +100,15 @@ def replica_blocks(
             yield start, run_block(b)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from zip(starts, pool.map(run_block, range(len(counts))))
+        pending = deque()
+        for b, start in enumerate(starts):
+            pending.append((start, pool.submit(run_block, b)))
+            if len(pending) > workers:
+                start, future = pending.popleft()
+                yield start, future.result()
+        while pending:
+            start, future = pending.popleft()
+            yield start, future.result()
 
 
 def map_replica_blocks(

@@ -41,7 +41,14 @@ from .field import Field
 from .grids import SpaceTimeGrid
 from .kernels import heat_kernel
 from .noise import HomogeneousNoiseSampler, NoiseSpec
-from .rng import DEFAULT_BLOCK_SIZE, RngStream, as_generator, map_replica_blocks, replica_blocks
+from .rng import (
+    DEFAULT_BLOCK_SIZE,
+    RngStream,
+    as_generator,
+    map_replica_blocks,
+    replica_blocks,
+    row_chunks,
+)
 from .special import HermiteTable, std_normal_cdf
 
 # ---------------------------------------------------------------------------
@@ -308,10 +315,6 @@ def _lagged_heat_kernels(grid: SpaceTimeGrid) -> np.ndarray:
     return g
 
 
-# padded space-time spectra of one convolution chunk stay near this size
-_CONV_CHUNK_BYTES = 64 * 2**20
-
-
 class _LinearHeatKernels:
     """Causal space-time convolution with the midpoint-lagged heat kernel.
 
@@ -338,15 +341,14 @@ class _LinearHeatKernels:
         """u at the time nodes ``rows`` for integrands phi of shape (R, nt, nx).
 
         Returns shape (R, len(rows), nx); node 0 is exactly zero. Replicas go
-        through in chunks so the padded spectra stay near _CONV_CHUNK_BYTES.
+        through in ``rng.row_chunks``, so the padded spectra of one chunk stay
+        near ``rng.CHUNK_BYTES`` (at least two replicas' worth).
         """
         rows = np.asarray(rows, dtype=int)
         count, nt, nx = phi.shape
         nf, n_fft = self.spectrum.shape
         out = np.empty((count, rows.size, nx))
-        chunk = max(1, _CONV_CHUNK_BYTES // (16 * nf * n_fft))
-        for lo in range(0, count, chunk):
-            hi = min(count, lo + chunk)
+        for lo, hi in row_chunks(count, 16 * nf * n_fft):
             spec = np.zeros((hi - lo, nf, n_fft), dtype=complex)
             spec[:, :, :nt] = np.fft.rfft(phi[lo:hi], axis=2).transpose(0, 2, 1)
             np.fft.fft(spec, axis=2, out=spec)
@@ -412,8 +414,12 @@ def linear_heat_point_samples(
     scale = math.sqrt(grid.cell_volume)
 
     def block(gen, count):
-        z = gen.standard_normal((count,) + a.shape)
-        return scale * np.tensordot(z, a, axes=((1, 2), (0, 1)))
+        # one chunk of sheets at a time, drawn in order from the block's generator
+        out = np.empty(count)
+        for lo, hi in row_chunks(count, a.nbytes):
+            z = gen.standard_normal((hi - lo,) + a.shape)
+            out[lo:hi] = np.tensordot(z, a, axes=((1, 2), (0, 1)))
+        return scale * out
 
     return map_replica_blocks(replicas, block, rng, block_size, threads)
 
@@ -536,12 +542,11 @@ def pam_chaos_series(t: float, n_terms: int) -> ChaosSeries:
     )
 
 
-def _one_step_matrices(grid: SpaceTimeGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(P, M): P[x,y] = G(dt, x-y) dx is the deterministic step, M = P / dx."""
-    kern = _heat_kernel_vector(grid, grid.time.dt)
-    idx = (np.arange(grid.n_cells)[:, None] - np.arange(grid.n_cells)[None, :]) % grid.n_cells
-    m = kern[idx]
-    return m * grid.dx, m
+def _heat_step(grid: SpaceTimeGrid):
+    """One periodic heat step v -> sum_y G(dt, x-y) v(y) along the last axis, by rFFT."""
+    kern_hat = np.fft.rfft(_heat_kernel_vector(grid, grid.time.dt))
+    nx = grid.n_cells
+    return lambda v: np.fft.irfft(kern_hat * np.fft.rfft(v, axis=-1), n=nx, axis=-1)
 
 
 def solve_pam_euler(grid: SpaceTimeGrid, noise: np.ndarray, initial: float = 1.0) -> np.ndarray:
@@ -564,12 +569,10 @@ def solve_pam_euler(grid: SpaceTimeGrid, noise: np.ndarray, initial: float = 1.0
         raise InputError(
             f"noise sheets have shape {w.shape[1:]}, the grid needs {grid.cell_shape()}"
         )
-    nt, nx = grid.time.n_steps, grid.n_cells
-    kern_hat = np.fft.rfft(_heat_kernel_vector(grid, grid.time.dt))
-    u = np.full((w.shape[0], nx), float(initial))
-    for k in range(nt):
-        combined = u * (grid.dx + w[:, k])
-        u = np.fft.irfft(kern_hat * np.fft.rfft(combined, axis=1), n=nx, axis=1)
+    step = _heat_step(grid)
+    u = np.full((w.shape[0], grid.n_cells), float(initial))
+    for k in range(grid.time.n_steps):
+        u = step(u * (grid.dx + w[:, k]))
     return u
 
 
@@ -585,6 +588,7 @@ class WickPamSampler:
     solution, whose second moment matches Wick-calculus moment formulas up
     to the chaos tail; the plain adapted product in solve_pam_euler does
     not converge to that solution when the noise is correlated in time.
+    Both levels march with the same rFFT heat step as solve_pam_euler.
     """
 
     def __init__(self, grid: SpaceTimeGrid, spec: NoiseSpec):
@@ -592,16 +596,17 @@ class WickPamSampler:
             raise CapabilityError("Wick chaos marching supports d = 1 only")
         self.grid = grid
         self.sampler = HomogeneousNoiseSampler(grid, spec)
-        self.p_step, self.m_step = _one_step_matrices(grid)
+        self._step = _heat_step(grid)
         nt, nx = grid.time.n_steps, grid.n_cells
         t_cov, s_cov = self.sampler.time_cov, self.sampler.space_cov
-        # q[j, y] = (P^j M S)[y, y]; tau[k] = sum_(m<k) T[m, k] q[k-1-m]
+        # the influence of a past cell j steps back is the circulant of
+        # c_j = dx^j G(dt, .)^(*(j+1)); q[j, y] = sum_z c_j[(y-z) mod nx] S[z, y]
+        idx = (np.arange(nx)[:, None] - np.arange(nx)[None, :]) % nx
         q = np.empty((nt, nx))
-        b = self.m_step.copy()
+        c = _heat_kernel_vector(grid, grid.time.dt)
         for j in range(nt):
-            q[j] = np.einsum("yz,zy->y", b, s_cov)
-            if j + 1 < nt:
-                b = self.p_step @ b
+            q[j] = np.einsum("yz,zy->y", c[idx], s_cov)
+            c = self._step(c * grid.dx)
         self.tau = np.zeros((nt, nx))
         for k in range(1, nt):
             # tau[k, y] = sum_(m<k) T[m, k] q[k-1-m, y]
@@ -610,13 +615,12 @@ class WickPamSampler:
     def sample_chaos(self, rng, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(U1, U2) at the final time node, each of shape (n, n_cells)."""
         w = self.sampler.sample_batch(rng, n)
-        nt, nx = self.grid.time.n_steps, self.grid.n_cells
-        u1 = np.zeros((n, nx))
-        u2 = np.zeros((n, nx))
-        pt, mt = self.p_step.T, self.m_step.T
-        for k in range(nt):
-            u2 = u2 @ pt + (u1 * w[:, k] - self.tau[k]) @ mt
-            u1 = u1 @ pt + w[:, k] @ mt
+        dx = self.grid.dx
+        u1 = np.zeros((n, self.grid.n_cells))
+        u2 = np.zeros_like(u1)
+        for k in range(self.grid.time.n_steps):
+            u2 = self._step(u2 * dx + u1 * w[:, k] - self.tau[k])
+            u1 = self._step(u1 * dx + w[:, k])
         return u1, u2
 
     def second_moment_samples(self, rng, n: int):

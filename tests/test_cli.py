@@ -158,6 +158,19 @@ class TestSimulateCommand:
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert "bogus_key" in err["message"]
 
+    @pytest.mark.parametrize("body", [None, "{not json", "[1, 2]"],
+                             ids=["missing", "not-json", "not-object"])
+    def test_bad_config_file_exits_2(self, tmp_path, capsys, body):
+        cfg = tmp_path / "config.json"
+        if body is not None:
+            cfg.write_text(body)
+        code = run(["simulate", "--config", cfg, "--out", tmp_path / "out"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "InputError"
+        assert str(cfg) in err["message"]
+        assert not (tmp_path / "out").exists()
+
 
 class TestCertificateCommand:
     def test_heat_certificate(self, tmp_path):

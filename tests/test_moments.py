@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spde_lab import moments
+from spde_lab import moments, rng
 from spde_lab.errors import (
     CapabilityError,
     ConditionNotSatisfiedError,
@@ -238,7 +238,7 @@ class TestFkSecondMoment:
         # chunks of 3 replicas over blocks of 7 leave a trailing lone replica
         # in each block, and 50 = 7 * 7 + 1 leaves a block of one
         hurst, alpha, t, replicas, n_quad = 0.7, 0.5, 0.25, 50, 100
-        monkeypatch.setattr(moments, "_FK_PAIR_CHUNK_BYTES", 3 * 8 * n_quad * n_quad * d)
+        monkeypatch.setattr(rng, "CHUNK_BYTES", 3 * 8 * n_quad * n_quad * d)
         delta = t / n_quad
         floor = delta / 2.0
         h2 = 2.0 * hurst

@@ -1,4 +1,7 @@
 import struct
+import time
+import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from spde_lab import rng
 from spde_lab.errors import DomainError, InputError
 from spde_lab.field import Field, read_spdf, write_csv, write_spdf
 from spde_lab.grids import SpaceTimeGrid, TimeGrid
-from spde_lab.rng import RngStream, map_replica_blocks
+from spde_lab.rng import RngStream, map_replica_blocks, replica_blocks, row_chunks
 
 
 class TestRngStream:
@@ -61,8 +64,10 @@ class TestRngStream:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
 
         monkeypatch.setattr(rng, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(rng.os, "cpu_count", lambda: cpus)
@@ -70,6 +75,45 @@ class TestRngStream:
         out = map_replica_blocks(3, fn, RngStream(2), block_size=1, threads=10**6)
         assert recorded == expected
         assert np.array_equal(out, map_replica_blocks(3, fn, RngStream(2), block_size=1))
+
+    def test_slow_consumer_holds_a_few_blocks(self, monkeypatch):
+        # 40 blocks of 1 MB on two workers, consumed slower than they are drawn:
+        # submitting every block up front kept about 40 MB of finished blocks
+        monkeypatch.setattr(rng.os, "cpu_count", lambda: 2)
+        mb = 2**20
+        fn = lambda g, n: g.standard_normal((n, mb // 8))  # noqa: E731
+        tracemalloc.start()
+        try:
+            firsts = []
+            for start, block in replica_blocks(40, fn, RngStream(3), block_size=1, threads=2):
+                firsts.append(block[0, 0])
+                time.sleep(0.01)
+            del block
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * mb
+        serial = [b[0, 0] for _, b in replica_blocks(40, fn, RngStream(3), block_size=1)]
+        assert firsts == serial
+
+
+class TestRowChunks:
+    @pytest.mark.parametrize("count, expected", [
+        (1, [(0, 1)]),
+        (2, [(0, 2)]),
+        (3, [(0, 3)]),  # two rows per chunk, the lone third row is merged
+        (6, [(0, 2), (2, 4), (4, 6)]),
+        (7, [(0, 2), (2, 4), (4, 7)]),
+    ])
+    def test_at_least_two_rows_and_no_lone_last_row(self, count, expected):
+        assert row_chunks(count, rng.CHUNK_BYTES) == expected
+
+    def test_rows_per_chunk_from_budget(self):
+        row = rng.CHUNK_BYTES // 3
+        assert row_chunks(9, row) == [(0, 3), (3, 6), (6, 9)]
+        assert row_chunks(10, row) == [(0, 3), (3, 6), (6, 10)]
+        assert row_chunks(11, row) == [(0, 3), (3, 6), (6, 9), (9, 11)]
+        assert row_chunks(2, 1) == [(0, 2)]
 
 
 class TestGrids:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spde_lab import solvers
+from spde_lab import rng, solvers
 from spde_lab.errors import CapabilityError, DomainError, InputError
 from spde_lab.field import Field
 from spde_lab.grids import SpaceTimeGrid, TimeGrid
@@ -374,6 +374,25 @@ class TestLinearHeat:
             u = solve_linear_heat_1d(grid, w).values
             assert samples[r] == pytest.approx(u[16, 12], rel=1e-12)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_point_samples_chunked_match_per_replica_solves(self, monkeypatch, threads):
+        # a budget of two sheets splits blocks of 7 into chunks of 2, 2 and 3;
+        # 17 = 7 + 7 + 3 leaves a last block of 3, one chunk
+        grid = self._grid()
+        k, ix = 16, 12
+        sheet_bytes = linear_heat_point_weights(grid, k, ix).nbytes
+        monkeypatch.setattr(rng, "CHUNK_BYTES", 2 * sheet_bytes)
+        assert rng.row_chunks(7, sheet_bytes) == [(0, 2), (2, 4), (4, 7)]
+        x = linear_heat_point_samples(grid, k, ix, 17, RngStream(45), block_size=7,
+                                      threads=threads)
+        oracle = np.array([
+            solve_linear_heat_1d(grid, Field(grid, w)).values[k, ix]
+            for w in replica_sheets(grid, 45, 17, 7)
+        ])
+        assert np.max(np.abs(x - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+        one = linear_heat_point_samples(grid, k, ix, 17, RngStream(45), block_size=7)
+        assert x.tobytes() == one.tobytes()
+
     def test_discrete_variance_tracks_g_integral(self):
         # Var u(1, 0) -> int_0^1 (4 pi s)^(-1/2) ds = 1/sqrt(pi); frozen
         # deterministic values on the dyadic refinement path
@@ -562,6 +581,15 @@ class TestPamEuler:
         assert abs(sq.mean() - target) <= 3.0 * se + 0.05 * target
 
 
+def dense_step_matrices(grid: SpaceTimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(P, M) with M[x, y] = G(dt, x - y) on periodic displacements and P = M dx."""
+    nx = grid.n_cells
+    disp = (((np.arange(nx) + nx // 2) % nx) - nx // 2) * grid.dx
+    kern = heat_kernel(grid.time.dt, disp, 1)
+    m = kern[(np.arange(nx)[:, None] - np.arange(nx)[None, :]) % nx]
+    return m * grid.dx, m
+
+
 class TestWickPam:
     GRID = SpaceTimeGrid(TimeGrid(0.25, 32), 2.0, 64)
     SPEC = NoiseSpec.fractional_riesz(0.7, 0.5)
@@ -586,14 +614,15 @@ class TestWickPam:
         sampler = WickPamSampler(grid, spec)
         nt, nx = 6, 8
         coeff = np.zeros((nt, nx))
-        kern_hat_p, kern_m = sampler.p_step, sampler.m_step
+        # oracle: the dense march, P[x, y] = G(dt, x - y) dx and M = P / dx
+        p_step, m_step = dense_step_matrices(grid)
         for j in range(nt):
             for z in range(nx):
                 w = np.zeros((1, nt, nx))
                 w[0, j, z] = 1.0
                 u1 = np.zeros((1, nx))
                 for k in range(nt):
-                    u1 = u1 @ kern_hat_p.T + w[:, k] @ kern_m.T
+                    u1 = u1 @ p_step.T + w[:, k] @ m_step.T
                 coeff[j, z] = u1[0, nx // 2]
         cov = np.kron(sampler.sampler.time_cov, sampler.sampler.space_cov)
         v1_exact = coeff.reshape(-1) @ cov @ coeff.reshape(-1)
@@ -601,6 +630,33 @@ class TestWickPam:
         v1_mc = (u1[:, nx // 2] ** 2).mean()
         se = (u1[:, nx // 2] ** 2).std(ddof=1) / math.sqrt(20_000)
         assert abs(v1_mc - v1_exact) <= 3.0 * se
+
+    def test_fft_march_matches_dense_oracle(self):
+        # the dense march: q[j, y] = (P^j M S)[y, y], tau[k] = sum_(m<k) T[m, k]
+        # q[k-1-m], and both chaos levels advanced by P and M products
+        sampler = WickPamSampler(self.GRID, self.SPEC)
+        nt, nx = self.GRID.time.n_steps, self.GRID.n_cells
+        p_step, m_step = dense_step_matrices(self.GRID)
+        t_cov, s_cov = sampler.sampler.time_cov, sampler.sampler.space_cov
+        q = np.empty((nt, nx))
+        b = m_step.copy()
+        for j in range(nt):
+            q[j] = np.einsum("yz,zy->y", b, s_cov)
+            b = p_step @ b
+        tau = np.zeros((nt, nx))
+        for k in range(1, nt):
+            tau[k] = t_cov[:k, k] @ q[k - 1 :: -1]
+        np.testing.assert_allclose(sampler.tau, tau, rtol=0, atol=1e-13 * np.abs(tau).max())
+
+        w = sampler.sampler.sample_batch(RngStream(32), 20)
+        u1 = np.zeros((20, nx))
+        u2 = np.zeros((20, nx))
+        for k in range(nt):
+            u2 = u2 @ p_step.T + (u1 * w[:, k] - tau[k]) @ m_step.T
+            u1 = u1 @ p_step.T + w[:, k] @ m_step.T
+        f1, f2 = sampler.sample_chaos(RngStream(32), 20)
+        np.testing.assert_allclose(f1, u1, rtol=0, atol=1e-12 * np.abs(u1).max())
+        np.testing.assert_allclose(f2, u2, rtol=0, atol=1e-12 * np.abs(u2).max())
 
     def test_second_moment_samples_at_least_chaos0(self):
         sampler = WickPamSampler(self.GRID, self.SPEC)
