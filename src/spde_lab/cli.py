@@ -46,16 +46,19 @@ from .noise import (
     sample_white_noise_sheet,
 )
 from .rng import RngStream, map_replica_blocks
-from .solvers import chaos_geometric_partials, pam_chaos_series
+from .solvers import chaos_geometric_partials, pam_chaos_series, solve_pam_euler
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an ``InputError``; ``main`` turns one from the
+    command line into exit 2 with a usage JSON, one from a config file into
+    exit 2 with an error JSON."""
+
     def error(self, message):
-        print(json.dumps({"error": "usage", "message": message}), file=sys.stdout)
-        raise SystemExit(EXIT_VALIDATION)
+        raise InputError(message)
 
 
 def _canonical(config: dict) -> str:
@@ -75,8 +78,23 @@ def _write_csv(path: Path, config: dict, body: str) -> None:
     path.write_text(_csv_header(config) + body)
 
 
-def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+def _number_list(kind):
+    """argparse type: one or more comma-separated ``kind`` values, optionally
+    in brackets as a config file's JSON array is written."""
+
+    def parse(text: str) -> list:
+        body = text[1:-1] if text[:1] == "[" and text[-1:] == "]" else text
+        try:
+            values = [kind(v) for v in body.split(",") if v.strip()]
+        except ValueError:
+            values = []
+        if not values:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {kind.__name__} values, got {text!r}"
+            )
+        return values
+
+    return parse
 
 
 def _resolve_threads(value) -> int:
@@ -122,23 +140,19 @@ def run_simulate(cfg: dict, out: Path, threads: int = 1) -> None:
     stream = RngStream(cfg["seed"])
     rows = []
     for i, t in enumerate(ts):
-        if model == "gbm":
-            def block(gen, count, t=t):
-                inc = gen.standard_normal((count, 1)) * math.sqrt(t)
-                return np.exp(inc[:, 0] - t / 2.0)
+        if model in ("gbm", "gfbm"):
+            # lognormal exp(Z - var/2) with Z ~ N(0, var) = (scale * N(0,1))
+            if model == "gbm":
+                scale, var = math.sqrt(t), t
+            else:
+                scale, var = t ** cfg["hurst"], t ** (2 * cfg["hurst"])
+
+            def block(gen, count, scale=scale, var=var):
+                z = gen.standard_normal((count, 1)) * scale
+                return np.exp(z[:, 0] - var / 2.0)
 
             x = map_replica_blocks(replicas, block, stream.substream(i << 32), threads=threads)
-        elif model == "gfbm":
-            hurst = cfg["hurst"]
-
-            def block(gen, count, t=t, hurst=hurst):
-                z = gen.standard_normal((count, 1)) * t**hurst
-                return np.exp(z[:, 0] - t ** (2 * hurst) / 2.0)
-
-            x = map_replica_blocks(replicas, block, stream.substream(i << 32), threads=threads)
-        elif model == "pam-white":
-            from .solvers import solve_pam_euler
-
+        else:  # pam-white; --model choices admit no other model
             grid = _auto_pam_grid(t, cfg["n_steps"], cfg.get("half_width"))
             vol = math.sqrt(grid.cell_volume)
             mid = grid.n_cells // 2
@@ -150,8 +164,6 @@ def run_simulate(cfg: dict, out: Path, threads: int = 1) -> None:
             x = map_replica_blocks(
                 replicas, block, stream.substream(i << 32), block_size=64, threads=threads
             )
-        else:
-            raise InputError(f"unknown model {cfg['model']!r}")
         rows.extend(estimate_moments(x, ps, model=model, t=t))
 
     report = MomentReport(rows=rows)
@@ -179,7 +191,7 @@ def run_chaos(cfg: dict, out: Path, threads: int = 1) -> None:
             )
         _write_csv(out / "chaos.csv", cfg, "\n".join(lines) + "\n")
         _write_json(out / "chaos.json", cfg, series.to_dict())
-    elif cfg["model"] in ("gbm", "gfbm"):
+    else:  # gbm or gfbm
         kind = "bm" if cfg["model"] == "gbm" else "fbm"
         partials = chaos_geometric_partials(t, cfg["b"], n, kind, cfg.get("hurst"))
         if kind == "bm":
@@ -195,8 +207,6 @@ def run_chaos(cfg: dict, out: Path, threads: int = 1) -> None:
             cfg,
             {"partial_sums": list(partials), "closed_form": closed},
         )
-    else:
-        raise InputError(f"unknown chaos model {cfg['model']!r}")
 
 
 def run_check(cfg: dict, out: Path, threads: int = 1) -> None:
@@ -301,14 +311,12 @@ def run_noise(cfg: dict, out: Path, threads: int = 1) -> None:
     )
     if kind == "sheet":
         fld = sample_white_noise_sheet(grid, stream)
-    elif kind == "homogeneous":
+    else:  # homogeneous
         if cfg.get("hurst") is None:
             spec = NoiseSpec.space_time_white()
         else:
             spec = NoiseSpec.fractional_riesz(cfg["hurst"], cfg["alpha"])
         fld = sample_homogeneous_noise(grid, spec, stream)
-    else:
-        raise InputError(f"unknown noise kind {kind!r}")
     if cfg["format"] == "spdf":
         write_spdf(fld, out / "field.spdf")
     else:
@@ -348,8 +356,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="moment estimation for gbm/gfbm/pam-white")
     p.add_argument("--model", choices=["gbm", "gfbm", "pam-white"], default="gbm")
-    p.add_argument("--t", type=str, default="1.0", help="comma-separated times")
-    p.add_argument("--p", type=str, default="2.0", help="comma-separated moment orders")
+    p.add_argument("--t", type=_number_list(float), default="1.0", help="comma-separated times")
+    p.add_argument(
+        "--p", type=_number_list(float), default="2.0", help="comma-separated moment orders"
+    )
     p.add_argument("--replicas", type=int, default=10_000)
     p.add_argument("--hurst", type=float, default=None)
     p.add_argument("--n-steps", type=int, default=256)
@@ -398,8 +408,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-cells", type=int, default=512)
     p.add_argument("--half-width", type=float, default=4.0)
     p.add_argument("--replicas", type=int, default=128)
-    p.add_argument("--time-lags", type=str, default="4,8,16,32,64")
-    p.add_argument("--space-lags", type=str, default="2,4,8,16")
+    p.add_argument("--time-lags", type=_number_list(int), default="4,8,16,32,64")
+    p.add_argument("--space-lags", type=_number_list(int), default="2,4,8,16")
     p.add_argument("--base-node", type=int, default=None)
     common(p)
 
@@ -414,6 +424,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", choices=["csv", "spdf"], default="csv")
     common(p)
 
+    # argparse would demand these even of a --config re-run; _parse_args checks them
+    for subparser in _subparsers(parser).values():
+        subparser.required_options = [a for a in subparser._actions if a.required]
+        for action in subparser.required_options:
+            action.required = False
     return parser
 
 
@@ -422,32 +437,51 @@ def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentP
     return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
 
 
-def _config_keys(parser: argparse.ArgumentParser) -> set[str]:
-    """Keys a ``--config`` file may hold: every subcommand option, plus the tags."""
-    keys = {"command", "version"}
-    for subparser in _subparsers(parser).values():
-        keys.update(a.dest for a in subparser._actions if a.default is not argparse.SUPPRESS)
-    return keys
-
-
 def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     """Parse argv; required options are enforced only when no ``--config`` is
     given, because a re-run takes every value from its config file."""
-    subparsers = _subparsers(parser)
-    required = {}
-    for name, subparser in subparsers.items():
-        required[name] = [a for a in subparser._actions if a.required]
-        for action in required[name]:
-            action.required = False
     args = parser.parse_args(argv)
-    if args.config is None:
-        missing = [a for a in required[args.command] if getattr(args, a.dest) is None]
-        if missing:
-            subparsers[args.command].error(
-                "the following arguments are required: "
-                + ", ".join("/".join(a.option_strings) for a in missing)
-            )
+    subparser = _subparsers(parser)[args.command]
+    missing = [a for a in subparser.required_options if getattr(args, a.dest) is None]
+    if missing and args.config is None:
+        subparser.error(
+            "the following arguments are required: "
+            + ", ".join("/".join(a.option_strings) for a in missing)
+        )
     return args
+
+
+# execution knobs: always taken from the command line, never from a config file
+_COMMAND_LINE_ONLY = ("out", "config", "threads")
+
+
+def _config_argv(subparser: argparse.ArgumentParser, cfg: dict) -> list[str]:
+    """The keys of a config file as ``--option=value`` arguments.
+
+    Values are written as JSON, except a string for an option with choices
+    and a boolean for a flag, so a value of the wrong JSON type fails the
+    option's own type or choice check. A key that names no option becomes a
+    bare ``{"key": value}`` argument, which the parser rejects as unrecognized.
+    """
+    actions = {
+        a.dest: a
+        for a in subparser._actions
+        if a.option_strings and a.default is not argparse.SUPPRESS
+        and a.dest not in _COMMAND_LINE_ONLY
+    }
+    argv = []
+    for key, value in cfg.items():
+        if key in ("command", "version"):
+            continue
+        action = actions.get(key)
+        if action is None:
+            argv.append(json.dumps({key: value}))
+        elif action.nargs == 0 and isinstance(value, bool):
+            argv += [action.option_strings[0]] if value else []
+        else:
+            text = value if isinstance(value, str) and action.choices else json.dumps(value)
+            argv.append(f"{action.option_strings[0]}={text}")
+    return argv
 
 
 def _resolve_config(args) -> dict:
@@ -459,21 +493,12 @@ def _resolve_config(args) -> dict:
         if key in skip or value is None:
             continue
         cfg[key] = value
-    if args.command == "simulate":
-        cfg["t"] = _floats(args.t)
-        cfg["p"] = _floats(args.p)
-        cfg["fit"] = bool(args.fit)
-        if cfg["model"] == "gfbm" and cfg.get("hurst") is None:
-            raise InputError("gfbm requires --hurst")
+    if args.command == "simulate" and cfg["model"] == "gfbm" and cfg.get("hurst") is None:
+        raise InputError("gfbm requires --hurst")
     if args.command == "chaos" and cfg["model"] == "gfbm" and cfg.get("hurst") is None:
         raise InputError("gfbm chaos requires --hurst")
-    if args.command == "check":
-        cfg["numeric"] = bool(args.numeric)
-        if cfg["op"] in ("heat", "wave") and cfg.get("hurst") is None:
-            raise InputError(f"{cfg['op']} check requires --hurst")
-    if args.command == "holder":
-        cfg["time_lags"] = [int(v) for v in args.time_lags.split(",")]
-        cfg["space_lags"] = [int(v) for v in args.space_lags.split(",")]
+    if args.command == "check" and cfg["op"] in ("heat", "wave") and cfg.get("hurst") is None:
+        raise InputError(f"{cfg['op']} check requires --hurst")
     if args.command == "noise":
         if cfg["kind"] == "fbm" and cfg.get("hurst") is None:
             raise InputError("fbm noise requires --hurst")
@@ -495,22 +520,30 @@ def _read_config(path: str) -> dict:
     return cfg
 
 
+def _config_args(parser: argparse.ArgumentParser, args) -> argparse.Namespace:
+    """The arguments of a ``--config`` re-run: the file's keys parsed by the
+    subcommand's own parser, with the same required check."""
+    cfg = _read_config(args.config)
+    if cfg.get("command") != args.command:
+        raise InputError(f"config is for command {cfg.get('command')!r}, not {args.command!r}")
+    if not isinstance(cfg.get("version", ""), str):
+        raise InputError(f"config version must be a string, got {cfg['version']!r}")
+    argv = [args.command] + _config_argv(_subparsers(parser)[args.command], cfg)
+    try:
+        return _parse_args(parser, argv)
+    except InputError as exc:
+        raise InputError(f"config {args.config!r}: {exc}") from None
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = _parse_args(parser, argv)
     try:
-        if args.config is not None:
-            cfg = _read_config(args.config)
-            unknown = set(cfg) - _config_keys(parser)
-            if unknown:
-                raise InputError(f"unknown config keys: {sorted(unknown)}")
-            if cfg.get("command") != args.command:
-                raise InputError(
-                    f"config is for command {cfg.get('command')!r}, not {args.command!r}"
-                )
-            cfg.pop("threads", None)  # execution knob, never part of the experiment
-        else:
-            cfg = _resolve_config(args)
+        args = _parse_args(parser, argv)
+    except InputError as exc:
+        print(json.dumps({"error": "usage", "message": str(exc)}))
+        raise SystemExit(EXIT_VALIDATION) from None
+    try:
+        cfg = _resolve_config(args if args.config is None else _config_args(parser, args))
         threads = _resolve_threads(args.threads)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -34,9 +34,6 @@ class TimeGrid:
         """t_0 = 0 < t_1 < ... < t_n = t_max."""
         return np.linspace(0.0, self.t_max, self.n_steps + 1)
 
-    def cell_lefts(self) -> np.ndarray:
-        return self.nodes()[:-1]
-
     def cell_centers(self) -> np.ndarray:
         return (np.arange(self.n_steps) + 0.5) * self.dt
 

@@ -4,22 +4,24 @@ sheets, fractional Brownian motion, and space-time homogeneous fields.
 Covariance conventions
 ----------------------
 Fractional time correlation uses the fBm normalization
-
-    gamma_H(u) = alpha_H |u|^(2H-2),   alpha_H = H(2H-1),
-
-so that the double cell integral of gamma_H over [0,t] x [0,s] equals
-R_H(t,s) = (t^(2H) + s^(2H) - |t-s|^(2H)) / 2. The Riesz spatial kernel is
-f(x) = |x|^(-alpha) with no extra constant. Cell masses of a homogeneous
-noise therefore have exactly separable covariance
+gamma_H(u) = alpha_H |u|^(2H-2), alpha_H = H(2H-1); the Riesz spatial kernel
+is f(x) = |x|^(-alpha) with no extra constant. Every 1-d kernel has a second
+antiderivative F(w) = c |w|^p, with (c, p) = (1/2, 1) for white noise,
+(1/2, 2H) for fractional time and (1/((1-alpha)(2-alpha)), 2-alpha) for
+d=1 Riesz. Its double integral over [a,b] x [c,d] is the corner sum
+F(b-c) + F(a-d) - F(a-c) - F(b-d), which over [0,t] x [0,s] gives the fBm
+covariance R_H(t,s) = (t^(2H) + s^(2H) - |t-s|^(2H)) / 2. Cell masses of a
+homogeneous noise have separable covariance
 
     Cov(W(C), W(C')) = [time cell integral] * [space cell integral],
 
-which the sampler exploits: the full covariance is a Kronecker product
-T (x) S whose Cholesky factor is chol(T) (x) chol(S).
+so the full covariance is a Kronecker product T (x) S whose Cholesky factor
+is chol(T) (x) chol(S).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -242,27 +244,32 @@ def _interval_overlap(a: float, b: float, c: float, d: float) -> float:
     return max(0.0, min(b, d) - max(a, c))
 
 
-def fractional_time_cell_integral(hurst: float, a: float, b: float, c: float, d: float) -> float:
-    """alpha_H * double integral of |r-s|^(2H-2) over [a,b] x [c,d].
+def _power_law(kind: str, param: float | None) -> tuple[float, float]:
+    """(c, p) of F(w) = c |w|^p, the second antiderivative of a 1-d kernel."""
+    if kind == WHITE:
+        return 0.5, 1.0
+    if kind == FRACTIONAL:
+        return 0.5, 2.0 * param
+    return 1.0 / ((1.0 - param) * (2.0 - param)), 2.0 - param
 
-    Second antiderivative of the kernel is |w|^(2H) / 2, so the integral is
-    the alternating corner sum of that function.
-    """
-    h2 = 2.0 * hurst
-    return 0.5 * (
-        abs(b - c) ** h2 + abs(a - d) ** h2 - abs(a - c) ** h2 - abs(b - d) ** h2
-    )
+
+def _corner_sum(law: tuple[float, float], a: float, b: float, c: float, d: float) -> float:
+    """Double integral over [a,b] x [c,d] of the kernel with F = c |w|^p:
+    F(b-c) + F(a-d) - F(a-c) - F(b-d)."""
+    coef, p = law
+    return coef * (abs(b - c) ** p + abs(a - d) ** p - abs(a - c) ** p - abs(b - d) ** p)
+
+
+def fractional_time_cell_integral(hurst: float, a: float, b: float, c: float, d: float) -> float:
+    """alpha_H * double integral of |r-s|^(2H-2) over [a,b] x [c,d]."""
+    return _corner_sum(_power_law(FRACTIONAL, hurst), a, b, c, d)
 
 
 def riesz_cell_integral_1d(alpha: float, a: float, b: float, c: float, d: float) -> float:
     """Double integral of |x-y|^(-alpha) over [a,b] x [c,d], d=1, alpha in (0,1)."""
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"exact d=1 Riesz cell integral needs alpha in (0,1), got {alpha}")
-
-    def f2(w: float) -> float:
-        return abs(w) ** (2.0 - alpha) / ((1.0 - alpha) * (2.0 - alpha))
-
-    return f2(b - c) + f2(a - d) - f2(a - c) - f2(b - d)
+    return _corner_sum(_power_law(RIESZ, alpha), a, b, c, d)
 
 
 def _axis_panels(a: float, b: float, c: float, d: float) -> list[float]:
@@ -282,15 +289,7 @@ def _overlap_linear_coeffs(a, b, c, d, lo, hi):
     return p, q
 
 
-_GAUSS_N = 24
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(_GAUSS_N)
-
-
-def _gauss_panel(f, lo: float, hi: float) -> float:
-    if hi <= lo:
-        return 0.0
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    return half * float(np.sum(_GAUSS_W * f(mid + half * _GAUSS_X)))
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(24)
 
 
 def _riesz_rect_integral_2d(alpha, coeffs, rect):
@@ -341,103 +340,58 @@ def _riesz_rect_integral_2d(alpha, coeffs, rect):
                 radial = np.where(good, (r_out**m - np.maximum(r_in, 0.0) ** m) / m, 0.0)
                 return ct**j * st**k * radial
 
+            # Gauss-Legendre on each angular panel between corner directions
             for lo, hi in zip(corner_angles[:-1], corner_angles[1:]):
-                total += coef * _gauss_panel(angular, lo, hi)
+                mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+                total += coef * (half * float(np.sum(_GAUSS_W * angular(mid + half * _GAUSS_X))))
     return total
 
 
 def riesz_cell_integral(alpha: float, x_lo_a, x_hi_a, x_lo_b, x_hi_b, dim: int) -> float:
-    """Double integral of |x-y|^(-alpha) over two axis-aligned boxes.
+    """Double integral of |x-y|^(-alpha) over two axis-aligned boxes, d <= 2.
 
     d=1 is exact; d=2 reduces to smooth angular quadratures after a
     difference-coordinate, per-quadrant decomposition (accuracy well below
-    1e-6); d=3 supports separated boxes by panelled Gauss quadrature.
+    1e-6).
     """
     if not 0.0 < alpha < dim:
         raise DomainError(f"Riesz cell integral needs alpha in (0, d)=(0,{dim})")
     if dim == 1:
         return riesz_cell_integral_1d(alpha, x_lo_a[0], x_hi_a[0], x_lo_b[0], x_hi_b[0])
+    if dim > 2:
+        raise CapabilityError(f"Riesz cell integrals are implemented for d <= 2, got d={dim}")
 
-    panels = [
-        _axis_panels(x_lo_a[i], x_hi_a[i], x_lo_b[i], x_hi_b[i]) for i in range(dim)
-    ]
-    coeff_fns = [
-        lambda lo, hi, i=i: _overlap_linear_coeffs(
-            x_lo_a[i], x_hi_a[i], x_lo_b[i], x_hi_b[i], lo, hi
-        )
-        for i in range(dim)
-    ]
-
-    if dim == 2:
-        total = 0.0
-        for i0 in range(len(panels[0]) - 1):
-            for i1 in range(len(panels[1]) - 1):
-                rect = (
-                    (panels[0][i0], panels[0][i0 + 1]),
-                    (panels[1][i1], panels[1][i1 + 1]),
-                )
-                coeffs = (coeff_fns[0](*rect[0]), coeff_fns[1](*rect[1]))
-                total += _riesz_rect_integral_2d(alpha, coeffs, rect)
-        return total
-
-    # d == 3: tensor Gauss on panels; only separated boxes (origin outside the
-    # difference box) keep the integrand smooth enough for this route
-    lo = [panels[i][0] for i in range(3)]
-    hi = [panels[i][-1] for i in range(3)]
-    if all(l <= 0.0 <= h for l, h in zip(lo, hi)):
-        raise CapabilityError(
-            "d=3 Riesz cell integrals are supported for separated cells only"
-        )
-    nodes_w = []
-    for i in range(3):
-        axis = []
-        for j in range(len(panels[i]) - 1):
-            plo, phi = panels[i][j], panels[i][j + 1]
-            if phi <= plo:
-                continue
-            mid, half = 0.5 * (phi + plo), 0.5 * (phi - plo)
-            x = mid + half * _GAUSS_X
-            p, q = _overlap_linear_coeffs(
-                x_lo_a[i], x_hi_a[i], x_lo_b[i], x_hi_b[i], plo, phi
-            )
-            axis.append((x, half * _GAUSS_W * (p + q * x)))
-        xs = np.concatenate([a[0] for a in axis])
-        ws = np.concatenate([a[1] for a in axis])
-        nodes_w.append((xs, ws))
-    (x1, w1), (x2, w2), (x3, w3) = nodes_w
-    r2 = (
-        x1[:, None, None] ** 2 + x2[None, :, None] ** 2 + x3[None, None, :] ** 2
-    )
-    vals = r2 ** (-alpha / 2.0)
-    return float(np.einsum("i,j,k,ijk->", w1, w2, w3, vals))
+    panels = [_axis_panels(x_lo_a[i], x_hi_a[i], x_lo_b[i], x_hi_b[i]) for i in range(2)]
+    total = 0.0
+    for rx in zip(panels[0][:-1], panels[0][1:]):
+        for ry in zip(panels[1][:-1], panels[1][1:]):
+            coeffs = [
+                _overlap_linear_coeffs(x_lo_a[i], x_hi_a[i], x_lo_b[i], x_hi_b[i], *r)
+                for i, r in enumerate((rx, ry))
+            ]
+            total += _riesz_rect_integral_2d(alpha, coeffs, (rx, ry))
+    return total
 
 
 def cell_covariance(cell_a: Cell, cell_b: Cell, spec: NoiseSpec) -> float:
-    """Exact covariance of the noise masses of two cells under ``spec``."""
+    """Exact covariance of the noise masses of two cells under ``spec``.
+
+    White factors are interval overlaps, so disjoint white cells give exactly 0.
+    """
     if cell_a.dim != cell_b.dim:
         raise InputError("cells have different dimensions")
-    dim = cell_a.dim
-    spec.validate_for_dim(dim)
-
-    tk = spec.time_kernel
+    spec.validate_for_dim(cell_a.dim)
+    tk, sk = spec.time_kernel, spec.space_kernel
+    t_ends = (cell_a.t_lo, cell_a.t_hi, cell_b.t_lo, cell_b.t_hi)
     if tk.kind == WHITE:
-        tfac = _interval_overlap(cell_a.t_lo, cell_a.t_hi, cell_b.t_lo, cell_b.t_hi)
+        tfac = _interval_overlap(*t_ends)
     else:
-        tfac = fractional_time_cell_integral(
-            tk.hurst, cell_a.t_lo, cell_a.t_hi, cell_b.t_lo, cell_b.t_hi
-        )
-
-    sk = spec.space_kernel
+        tfac = fractional_time_cell_integral(tk.hurst, *t_ends)
+    x_ends = (cell_a.x_lo, cell_a.x_hi, cell_b.x_lo, cell_b.x_hi)
     if sk.kind == WHITE:
-        sfac = 1.0
-        for i in range(dim):
-            sfac *= _interval_overlap(
-                cell_a.x_lo[i], cell_a.x_hi[i], cell_b.x_lo[i], cell_b.x_hi[i]
-            )
+        sfac = math.prod(_interval_overlap(*ends) for ends in zip(*x_ends))
     else:
-        sfac = riesz_cell_integral(
-            sk.alpha, cell_a.x_lo, cell_a.x_hi, cell_b.x_lo, cell_b.x_hi, dim
-        )
+        sfac = riesz_cell_integral(sk.alpha, *x_ends, cell_a.dim)
     return tfac * sfac
 
 
@@ -446,50 +400,42 @@ def cell_covariance(cell_a: Cell, cell_b: Cell, spec: NoiseSpec) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _gather_by_gap(table: np.ndarray) -> np.ndarray:
+    """Cell-pair matrix of a grid shaped like ``table`` (cells in row-major
+    order): entry (a, b) is ``table`` at the per-axis gaps |a - b|, sorted."""
+    idx = np.indices(table.shape).reshape(table.ndim, -1)
+    gaps = np.sort(np.abs(idx[:, :, None] - idx[:, None, :]), axis=0)
+    return table[tuple(gaps)]
+
+
+def _power_law_toeplitz(law: tuple[float, float], h: float, n: int) -> np.ndarray:
+    """Covariance of n consecutive cells of width h; at lag m it is the
+    corner sum c h^p ((m+1)^p + |m-1|^p - 2 m^p)."""
+    coef, p = law
+    m = np.arange(n, dtype=float)
+    return _gather_by_gap(coef * h**p * ((m + 1) ** p + np.abs(m - 1) ** p - 2 * m**p))
+
+
 def time_factor_matrix(tgrid: TimeGrid, tk: TimeKernel) -> np.ndarray:
-    n, dt = tgrid.n_steps, tgrid.dt
-    if tk.kind == WHITE:
-        return np.eye(n) * dt
-    h2 = 2.0 * tk.hurst
-    m = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]).astype(float)
-    return 0.5 * dt**h2 * ((m + 1) ** h2 + np.abs(m - 1) ** h2 - 2 * m**h2)
+    return _power_law_toeplitz(_power_law(tk.kind, tk.hurst), tgrid.dt, tgrid.n_steps)
 
 
 def space_factor_matrix(grid: SpaceTimeGrid, sk: SpaceKernel) -> np.ndarray:
-    n_sp = grid.n_space_cells
+    n, dim = grid.n_cells, grid.dim
     if sk.kind == WHITE:
-        return np.eye(n_sp) * grid.dx**grid.dim
-    if not sk.alpha < grid.dim:
-        raise DomainError(f"Riesz kernel needs alpha < d; alpha={sk.alpha}, d={grid.dim}")
-    if grid.dim == 1:
-        alpha = sk.alpha
-        dx = grid.dx
-        m = np.arange(-grid.n_cells, grid.n_cells + 1).astype(float)
-        with np.errstate(divide="ignore"):
-            f2 = np.abs(m * dx) ** (2.0 - alpha) / ((1.0 - alpha) * (2.0 - alpha))
-        row = f2[2:] + f2[:-2] - 2.0 * f2[1:-1]  # index m-1, m+1, m
-        idx = np.abs(np.arange(grid.n_cells)[:, None] - np.arange(grid.n_cells)[None, :])
-        return row[idx + grid.n_cells - 1]
-    # d >= 2: assemble by cell pairs using the quadrature integral
+        return np.eye(grid.n_space_cells) * grid.dx**dim
+    if not sk.alpha < dim:
+        raise DomainError(f"Riesz kernel needs alpha < d; alpha={sk.alpha}, d={dim}")
+    if dim == 1:
+        return _power_law_toeplitz(_power_law(RIESZ, sk.alpha), grid.dx, n)
+    # d >= 2: one cell integral from cell 0 to each offset sorted per axis
     edges = grid.space_edges()
-    cells = list(np.ndindex(*(grid.n_cells,) * grid.dim))
-    S = np.empty((n_sp, n_sp))
-    cache: dict[tuple[int, ...], float] = {}
-    for a_i, ia in enumerate(cells):
-        for b_i in range(a_i, n_sp):
-            ib = cells[b_i]
-            key = tuple(sorted(abs(ia[k] - ib[k]) for k in range(grid.dim)))
-            if key not in cache:
-                cache[key] = riesz_cell_integral(
-                    sk.alpha,
-                    tuple(edges[i] for i in ia),
-                    tuple(edges[i + 1] for i in ia),
-                    tuple(edges[i] for i in ib),
-                    tuple(edges[i + 1] for i in ib),
-                    grid.dim,
-                )
-            S[a_i, b_i] = S[b_i, a_i] = cache[key]
-    return S
+    lo, hi = (edges[0],) * dim, (edges[1],) * dim
+    table = np.full((n,) * dim, np.nan)
+    for off in itertools.combinations_with_replacement(range(n), dim):
+        ends = (tuple(edges[i] for i in off), tuple(edges[i + 1] for i in off))
+        table[off] = riesz_cell_integral(sk.alpha, lo, hi, *ends, dim)
+    return _gather_by_gap(table)
 
 
 class HomogeneousNoiseSampler:

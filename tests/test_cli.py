@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,9 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spde_lab
-from spde_lab.cli import main
+from spde_lab.cli import _build_parser, _subparsers, main
 from spde_lab.field import read_spdf
 
 
@@ -251,3 +255,141 @@ class TestColdStart:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert proc.stdout.strip() == "[]"
+
+
+def _last_json(capsys):
+    return json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+
+
+class TestTypedValues:
+    """Command-line lists and config values are checked by the option's own
+    type or choices; a bad value exits 2 with error JSON, never 1."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--t", "1,x"],
+        ["simulate", "--p", "2,x"],
+        ["holder", "--time-lags", "4,x"],
+        ["holder", "--space-lags", "2.5"],
+        ["simulate", "--t", ""],
+    ], ids=["t", "p", "time-lags", "space-lags", "empty-t"])
+    def test_bad_list_option_exits_2(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--seed", "1", "--out", tmp_path / "out"])
+        assert exc.value.code == 2
+        err = _last_json(capsys)
+        assert err["error"] == "usage" and argv[1] in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_list_options_parse_to_numbers(self, tmp_path):
+        assert run(["simulate", "--t", "0.5,1", "--p", "2,3", "--replicas", "100",
+                    "--seed", "1", "--out", tmp_path]) == 0
+        cfg = json.loads((tmp_path / "config.json").read_text())
+        assert cfg["t"] == [0.5, 1.0] and cfg["p"] == [2.0, 3.0] and cfg["fit"] is False
+
+    @pytest.mark.parametrize("cfg, needle", [
+        ({"op": "heat", "alpha": "one", "hurst": 0.75}, "--alpha"),
+        ({"op": "heat", "alpha": "1.0", "hurst": 0.75}, "--alpha"),
+        ({"op": "heat", "alpha": 1.0, "hurst": 0.75, "d": 2.5}, "--d"),
+        ({"op": "heat", "alpha": 1.0, "hurst": 0.75, "numeric": "yes"}, "--numeric"),
+        ({"op": "heat", "hurst": 0.75}, "required: --alpha"),
+        ({"op": "heat", "alpha": 1.0, "hurst": 0.75, "threads": 2}, "threads"),
+        ({"op": ["heat"], "alpha": 1.0, "hurst": 0.75}, "--op"),
+        ({"op": "heat", "alpha": 1.0, "hurst": 0.75, "version": 1}, "version"),
+    ], ids=["alpha-string", "alpha-numeric-string", "d-float", "numeric-string", "no-alpha",
+            "threads-key", "op-list", "version-number"])
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, cfg, needle):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"command": "check", "seed": 0, **cfg}))
+        code = run(["check", "--config", path, "--out", tmp_path / "out"])
+        assert code == 2
+        err = _last_json(capsys)
+        assert err["error"] == "InputError" and needle in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_absent_config_keys_take_defaults(self, tmp_path):
+        # a config with only command and seed runs like `simulate --seed 1`
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"command": "simulate", "seed": 1}))
+        assert run(["simulate", "--config", path, "--out", tmp_path / "a"]) == 0
+        assert run(["simulate", "--seed", "1", "--out", tmp_path / "b"]) == 0
+        for name in ("moments.csv", "report.json", "config.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_config_values_win_over_command_line(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(["chaos", "--model", "gbm", "--t", "0.5", "--b", "1.0", "--n", "12",
+                    "--seed", "1", "--out", a]) == 0
+        assert run(["chaos", "--model", "pam", "--t", "2", "--config", a / "config.json",
+                    "--threads", "2", "--out", b]) == 0
+        for name in ("chaos.csv", "chaos.json", "config.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def _json_kind(value):
+    if isinstance(value, bool):
+        return "bool"
+    return {str: "string", list: "list", dict: "object"}.get(type(value), "number")
+
+
+@pytest.fixture(scope="module")
+def written_configs(tmp_path_factory):
+    """config.json files written by three cheap runs."""
+    root = tmp_path_factory.mktemp("configs")
+    runs = {
+        "check": ["check", "--op", "heat", "--alpha", "1.0", "--hurst", "0.75"],
+        "chaos": ["chaos", "--model", "gbm", "--t", "0.5", "--b", "1.0", "--n", "12"],
+        "simulate": ["simulate", "--model", "gbm", "--t", "0.5,1", "--p", "2",
+                     "--replicas", "200"],
+    }
+    configs = {}
+    for name, argv in runs.items():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(argv + ["--seed", "3", "--out", root / name]) == 0
+        configs[name] = json.loads((root / name / "config.json").read_text())
+    return root, configs
+
+
+_json_leaf = (st.none() | st.booleans() | st.integers() | st.just([]) | st.just({})
+              | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8))
+_json_value = st.recursive(
+    _json_leaf,
+    lambda inner: (st.lists(inner, min_size=1, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, min_size=1, max_size=3)),
+    max_leaves=6,
+)
+_numbers = st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+_WRONG_TYPED = {
+    # strings that read as numbers or number lists are the likeliest to slip through
+    "string": st.text(max_size=12) | _numbers.map(repr)
+    | st.lists(_numbers, min_size=1, max_size=3).map(lambda v: ",".join(map(repr, v))),
+    "list": st.lists(_json_value, max_size=3),
+    "object": st.dictionaries(st.text(max_size=4), _json_value, max_size=3),
+    "bool": st.booleans(),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_config_fuzz_exits_2_never_1(written_configs, data):
+    """One key of a written config set to a value of another JSON type, or
+    one unknown key added: the re-run exits 2 with error JSON."""
+    root, configs = written_configs
+    command = data.draw(st.sampled_from(sorted(configs)))
+    cfg = dict(configs[command])
+    known = {a.dest for p in _subparsers(_build_parser()).values() for a in p._actions}
+    if data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(sorted(cfg)))
+        kinds = sorted(set(_WRONG_TYPED) - {_json_kind(cfg[key])})
+        cfg[key] = data.draw(st.sampled_from(kinds).flatmap(_WRONG_TYPED.get))
+    else:
+        key = data.draw(st.text(min_size=1, max_size=12).filter(
+            lambda k: k not in known | {"command", "version"}))
+        cfg[key] = data.draw(_json_value)
+    path = root / f"fuzz-{command}.json"
+    path.write_text(json.dumps(cfg))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run([command, "--config", path, "--out", root / "fuzz-out"])
+    assert code == 2
+    assert json.loads(out.getvalue().strip().splitlines()[-1])["error"] == "InputError"
+    assert not (root / "fuzz-out").exists()

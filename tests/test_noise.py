@@ -24,6 +24,8 @@ from spde_lab.noise import (
     sample_fbm_paths,
     sample_homogeneous_noise,
     sample_white_noise_sheet,
+    space_factor_matrix,
+    time_factor_matrix,
 )
 from spde_lab.rng import RngStream
 
@@ -255,7 +257,7 @@ class TestHomogeneousNoise:
         assert np.array_equal(a, b)
 
     def test_two_dimensional_riesz_field(self):
-        # d = 2 exercises the quadrature cell integrals and the offset cache
+        # d = 2 exercises the quadrature cell integrals and the offset table
         grid = SpaceTimeGrid(TimeGrid(0.5, 4), 1.0, 4, dim=2)
         spec = NoiseSpec.fractional_riesz(0.7, 1.3)
         sampler = HomogeneousNoiseSampler(grid, spec)
@@ -281,6 +283,94 @@ class TestHomogeneousNoise:
         grid = SpaceTimeGrid(TimeGrid(1.0, 64), 1.0, 64)
         with pytest.raises(InputError):
             HomogeneousNoiseSampler(grid, NoiseSpec.space_time_white())
+
+
+def _old_time_factor(tgrid, tk):
+    """The direct n x n formula the Toeplitz builder replaced."""
+    n, dt = tgrid.n_steps, tgrid.dt
+    if tk.kind == "white":
+        return np.eye(n) * dt
+    h2 = 2.0 * tk.hurst
+    m = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]).astype(float)
+    return 0.5 * dt**h2 * ((m + 1) ** h2 + np.abs(m - 1) ** h2 - 2 * m**h2)
+
+
+def _old_riesz_row_1d(grid, alpha):
+    """The d=1 Riesz row as second differences of |m dx|^(2-alpha) / ((1-alpha)(2-alpha))."""
+    m = np.arange(-grid.n_cells, grid.n_cells + 1).astype(float)
+    with np.errstate(divide="ignore"):
+        f2 = np.abs(m * grid.dx) ** (2.0 - alpha) / ((1.0 - alpha) * (2.0 - alpha))
+    return (f2[2:] + f2[:-2] - 2.0 * f2[1:-1])[grid.n_cells - 1 :]
+
+
+def _old_pair_loop(grid, alpha):
+    """The d >= 2 Riesz factor assembled over every cell pair, cached by sorted gaps."""
+    n_sp = grid.n_space_cells
+    edges = grid.space_edges()
+    cells = list(np.ndindex(*(grid.n_cells,) * grid.dim))
+    S = np.empty((n_sp, n_sp))
+    cache = {}
+    for a_i, ia in enumerate(cells):
+        for b_i in range(a_i, n_sp):
+            ib = cells[b_i]
+            key = tuple(sorted(abs(ia[k] - ib[k]) for k in range(grid.dim)))
+            if key not in cache:
+                cache[key] = riesz_cell_integral(
+                    alpha,
+                    tuple(edges[i] for i in ia),
+                    tuple(edges[i + 1] for i in ia),
+                    tuple(edges[i] for i in ib),
+                    tuple(edges[i + 1] for i in ib),
+                    grid.dim,
+                )
+            S[a_i, b_i] = S[b_i, a_i] = cache[key]
+    return S
+
+
+class TestFactorMatrices:
+    @pytest.mark.parametrize("t_max, n", [(1.0, 1), (0.5, 7), (2.0, 33), (0.25, 128)])
+    @pytest.mark.parametrize("tk", [TimeKernel.white(), TimeKernel.fractional(0.7),
+                                    TimeKernel.fractional(0.95)], ids=["white", "H0.7", "H0.95"])
+    def test_time_factor_bit_identical_to_direct_formula(self, t_max, n, tk):
+        tgrid = TimeGrid(t_max, n)
+        new = time_factor_matrix(tgrid, tk)
+        assert new.tobytes() == _old_time_factor(tgrid, tk).tobytes()
+
+    @pytest.mark.parametrize("n, alpha", [(16, 0.5), (6, 1.3), (5, 0.3)])
+    def test_d2_riesz_factor_bit_identical_to_pair_loop(self, n, alpha):
+        grid = SpaceTimeGrid(TimeGrid(0.5, 2), 1.0, n, dim=2)
+        new = space_factor_matrix(grid, SpaceKernel.riesz(alpha))
+        assert new.tobytes() == _old_pair_loop(grid, alpha).tobytes()
+
+    def test_d1_riesz_row_vs_old_row_and_mpmath(self):
+        # both rows lose digits to the same second-difference cancellation;
+        # errors are relative to the diagonal, the largest entry
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        worst_old = worst_new = 0.0
+        for n in (33, 64):
+            for half_width in (1.0, 4.0, 8.0):
+                for alpha in (0.2, 0.5, 0.9):
+                    grid = SpaceTimeGrid(TimeGrid(0.5, 2), half_width, n)
+                    a, dx = mpmath.mpf(alpha), mpmath.mpf(grid.dx)
+                    p, c = 2 - a, 1 / ((1 - a) * (2 - a))
+                    exact = np.array([
+                        float(c * dx**p * ((m + 1) ** p + abs(m - 1) ** p - 2 * mpmath.mpf(m) ** p))
+                        for m in range(n)
+                    ])
+                    new = space_factor_matrix(grid, SpaceKernel.riesz(alpha))
+                    old = _old_riesz_row_1d(grid, alpha)
+                    assert np.array_equal(new, new[0][np.abs(np.subtract.outer(range(n), range(n)))])
+                    assert np.max(np.abs(new[0] - old)) <= 1e-12 * old[0]
+                    worst_old = max(worst_old, np.max(np.abs(old - exact)) / exact[0])
+                    worst_new = max(worst_new, np.max(np.abs(new[0] - exact)) / exact[0])
+        assert worst_new <= worst_old
+
+    def test_disjoint_white_cells_exactly_uncorrelated(self):
+        grid = SpaceTimeGrid(TimeGrid(0.3, 3), 0.7, 5)
+        spec = NoiseSpec.space_time_white()
+        assert cell_covariance(grid_cell(grid, 0, 1), grid_cell(grid, 2, 1), spec) == 0.0
+        assert cell_covariance(grid_cell(grid, 1, 0), grid_cell(grid, 1, 3), spec) == 0.0
 
 
 class TestCholeskyJitter:
