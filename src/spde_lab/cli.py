@@ -78,7 +78,18 @@ def _write_csv(path: Path, config: dict, body: str) -> None:
     path.write_text(_csv_header(config) + body)
 
 
-def _number_list(kind):
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite float, got {text!r}")
+    return value
+
+
+def _number_list(kind, noun: str):
     """argparse type: one or more comma-separated ``kind`` values, optionally
     in brackets as a config file's JSON array is written."""
 
@@ -86,11 +97,11 @@ def _number_list(kind):
         body = text[1:-1] if text[:1] == "[" and text[-1:] == "]" else text
         try:
             values = [kind(v) for v in body.split(",") if v.strip()]
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             values = []
         if not values:
             raise argparse.ArgumentTypeError(
-                f"expected comma-separated {kind.__name__} values, got {text!r}"
+                f"expected comma-separated {noun} values, got {text!r}"
             )
         return values
 
@@ -346,6 +357,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="spde-lab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"spde-lab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    floats = _number_list(_finite_float, "finite float")
 
     def common(p):
         p.add_argument("--seed", type=int, default=None)
@@ -356,29 +368,27 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="moment estimation for gbm/gfbm/pam-white")
     p.add_argument("--model", choices=["gbm", "gfbm", "pam-white"], default="gbm")
-    p.add_argument("--t", type=_number_list(float), default="1.0", help="comma-separated times")
-    p.add_argument(
-        "--p", type=_number_list(float), default="2.0", help="comma-separated moment orders"
-    )
+    p.add_argument("--t", type=floats, default="1.0", help="comma-separated times")
+    p.add_argument("--p", type=floats, default="2.0", help="comma-separated moment orders")
     p.add_argument("--replicas", type=int, default=10_000)
-    p.add_argument("--hurst", type=float, default=None)
+    p.add_argument("--hurst", type=_finite_float, default=None)
     p.add_argument("--n-steps", type=int, default=256)
-    p.add_argument("--half-width", type=float, default=None)
+    p.add_argument("--half-width", type=_finite_float, default=None)
     p.add_argument("--fit", action="store_true", help="fit a Lyapunov slope")
     common(p)
 
     p = sub.add_parser("chaos", help="chaos-series tables")
     p.add_argument("--model", choices=["pam", "gbm", "gfbm"], default="pam")
-    p.add_argument("--t", type=float, default=1.0)
+    p.add_argument("--t", type=_finite_float, default=1.0)
     p.add_argument("--n", type=int, default=60)
-    p.add_argument("--b", type=float, default=0.0, help="endpoint value (gbm/gfbm)")
-    p.add_argument("--hurst", type=float, default=None)
+    p.add_argument("--b", type=_finite_float, default=0.0, help="endpoint value (gbm/gfbm)")
+    p.add_argument("--hurst", type=_finite_float, default=None)
     common(p)
 
     p = sub.add_parser("check", help="existence-condition verdicts")
     p.add_argument("--op", choices=["heat", "wave", "dalang"], required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--hurst", type=float, default=None)
+    p.add_argument("--alpha", type=_finite_float, required=True)
+    p.add_argument("--hurst", type=_finite_float, default=None)
     # alpha must lie in (0, d); d = 2 admits the full alpha < 2 range
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--numeric", action="store_true", help="also run the quadrature route")
@@ -386,41 +396,41 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("certificate", help="extension-of-Gronwall coefficient bounds")
     p.add_argument("--profile", choices=["heat", "wave", "constant"], default="heat")
-    p.add_argument("--beta", type=float, default=1.0, help="constant-profile value")
-    p.add_argument("--big-t", type=float, default=1.0)
-    p.add_argument("--m", type=float, default=1.0)
+    p.add_argument("--beta", type=_finite_float, default=1.0, help="constant-profile value")
+    p.add_argument("--big-t", type=_finite_float, default=1.0)
+    p.add_argument("--m", type=_finite_float, default=1.0)
     p.add_argument("--n-max", type=int, default=20)
     p.add_argument("--replicas", type=int, default=100_000)
     common(p)
 
     p = sub.add_parser("fk", help="two-path exponential-functional second moment")
-    p.add_argument("--hurst", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--hurst", type=_finite_float, required=True)
+    p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--d", type=int, default=1)
-    p.add_argument("--t", type=float, default=0.25)
+    p.add_argument("--t", type=_finite_float, default=0.25)
     p.add_argument("--replicas", type=int, default=10_000)
     p.add_argument("--n-quad", type=int, default=128)
     common(p)
 
     p = sub.add_parser("holder", help="empirical regularity exponents, linear heat")
-    p.add_argument("--t", type=float, default=0.25)
+    p.add_argument("--t", type=_finite_float, default=0.25)
     p.add_argument("--n-steps", type=int, default=1024)
     p.add_argument("--n-cells", type=int, default=512)
-    p.add_argument("--half-width", type=float, default=4.0)
+    p.add_argument("--half-width", type=_finite_float, default=4.0)
     p.add_argument("--replicas", type=int, default=128)
-    p.add_argument("--time-lags", type=_number_list(int), default="4,8,16,32,64")
-    p.add_argument("--space-lags", type=_number_list(int), default="2,4,8,16")
+    p.add_argument("--time-lags", type=_number_list(int, "int"), default="4,8,16,32,64")
+    p.add_argument("--space-lags", type=_number_list(int, "int"), default="2,4,8,16")
     p.add_argument("--base-node", type=int, default=None)
     common(p)
 
     p = sub.add_parser("noise", help="raw noise dumps (paths, sheets, homogeneous fields)")
     p.add_argument("--kind", choices=["bm", "fbm", "sheet", "homogeneous"], required=True)
-    p.add_argument("--t", type=float, default=1.0)
+    p.add_argument("--t", type=_finite_float, default=1.0)
     p.add_argument("--n-steps", type=int, default=128)
     p.add_argument("--n-cells", type=int, default=16)
-    p.add_argument("--half-width", type=float, default=1.0)
-    p.add_argument("--hurst", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--half-width", type=_finite_float, default=1.0)
+    p.add_argument("--hurst", type=_finite_float, default=None)
+    p.add_argument("--alpha", type=_finite_float, default=None)
     p.add_argument("--format", choices=["csv", "spdf"], default="csv")
     common(p)
 

@@ -11,6 +11,7 @@ Two on-disk formats:
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field as dc_field
 
@@ -99,17 +100,20 @@ def read_spdf(path) -> Field:
             raise InputError(f"not an SPDF1 container (magic {magic!r})")
         try:
             dim, on_nodes, ndim = _HEAD.unpack(fh.read(_HEAD.size))
-            if ndim != 1 + dim:
+            # bounding dim also bounds the shape read below
+            if ndim != 1 + dim or dim > 3:
                 raise InputError(
                     f"SPDF1 header gives {ndim} array axes for spatial dim {dim}; "
-                    f"expected {1 + dim}"
+                    "expected 1 + dim with dim <= 3"
                 )
             shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
             t_max, half_width = _GEOM.unpack(fh.read(_GEOM.size))
         except struct.error as exc:
             raise InputError(f"truncated SPDF1 header: {exc}") from exc
         payload = fh.read()
-    n_values = int(np.prod(shape))
+    if 0 in shape:
+        raise InputError(f"SPDF1 shape {shape} has an empty axis")
+    n_values = math.prod(shape)  # Python ints, so a corrupt shape cannot wrap around
     if len(payload) != 8 * n_values:
         raise InputError(
             f"payload holds {len(payload) // 8} values, header promises {n_values}"

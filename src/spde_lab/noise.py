@@ -10,8 +10,11 @@ antiderivative F(w) = c |w|^p, with (c, p) = (1/2, 1) for white noise,
 (1/2, 2H) for fractional time and (1/((1-alpha)(2-alpha)), 2-alpha) for
 d=1 Riesz. Its double integral over [a,b] x [c,d] is the corner sum
 F(b-c) + F(a-d) - F(a-c) - F(b-d), which over [0,t] x [0,s] gives the fBm
-covariance R_H(t,s) = (t^(2H) + s^(2H) - |t-s|^(2H)) / 2. Cell masses of a
-homogeneous noise have separable covariance
+covariance R_H(t,s) = (t^(2H) + s^(2H) - |t-s|^(2H)) / 2. The d=2 Riesz kernel
+is the Gaussian scale mixture |x|^(-alpha) = Gamma(alpha/2)^(-1) int_0^inf
+s^(alpha/2-1) exp(-s |x|^2) ds; the Gaussian factorizes over the axes, each axis
+is the corner sum of its second antiderivative F_s, and a trapezoid rule in
+log s sums over s. Cell masses of a homogeneous noise have separable covariance
 
     Cov(W(C), W(C')) = [time cell integral] * [space cell integral],
 
@@ -272,87 +275,23 @@ def riesz_cell_integral_1d(alpha: float, a: float, b: float, c: float, d: float)
     return _corner_sum(_power_law(RIESZ, alpha), a, b, c, d)
 
 
-def _axis_panels(a: float, b: float, c: float, d: float) -> list[float]:
-    """Breakpoints of u -> len([a,b] ∩ [c+u, d+u]) on its support, plus 0."""
-    pts = sorted({a - d, a - c, b - d, b - c, 0.0})
-    lo, hi = a - d, b - c
-    return [p for p in pts if lo <= p <= hi]
-
-
-def _overlap_linear_coeffs(a, b, c, d, lo, hi):
-    """(p, q) with overlap(u) = p + q u on the panel [lo, hi]."""
-    mid = 0.5 * (lo + hi)
-    f_lo = _interval_overlap(a, b, c + lo, d + lo)
-    f_hi = _interval_overlap(a, b, c + hi, d + hi)
-    q = (f_hi - f_lo) / (hi - lo) if hi > lo else 0.0
-    p = _interval_overlap(a, b, c + mid, d + mid) - q * mid
-    return p, q
-
-
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(24)
-
-
-def _riesz_rect_integral_2d(alpha, coeffs, rect):
-    """integral over rect of (p1+q1 u1)(p2+q2 u2) |u|^(-alpha) du, rect in one quadrant.
-
-    The rectangle has 0 as a per-axis breakpoint, so it lies in a closed
-    quadrant; in polar coordinates around the origin the radial integral of
-    r^(m+1-alpha) is elementary and only the angular integral is quadrature.
-    """
-    (p1, q1), (p2, q2) = coeffs
-    (x0, x1), (y0, y1) = rect
-    sx = -1.0 if x1 <= 0 else 1.0
-    sy = -1.0 if y1 <= 0 else 1.0
-    # reflect into the first quadrant; monomial u1^j u2^k gains sx^j sy^k
-    ax0, ax1 = sorted((sx * x0, sx * x1))
-    ay0, ay1 = sorted((sy * y0, sy * y1))
-    if ax1 <= 0 or ay1 <= 0:
-        return 0.0
-
-    corner_angles = sorted(
-        {
-            math.atan2(y, x)
-            for x in (ax0, ax1)
-            for y in (ay0, ay1)
-            if not (x == 0.0 and y == 0.0)
-        }
-    )
-    total = 0.0
-    for j, cx in ((0, p1), (1, sx * q1)):
-        for k, cy in ((0, p2), (1, sy * q2)):
-            coef = cx * cy
-            if coef == 0.0:
-                continue
-            m = j + k + 2.0 - alpha
-
-            def angular(theta, j=j, k=k, m=m):
-                ct, st = np.cos(theta), np.sin(theta)
-                with np.errstate(divide="ignore", over="ignore"):
-                    r_in = np.maximum(
-                        np.where(ct > 0, ax0 / ct, 0.0), np.where(st > 0, ay0 / st, 0.0)
-                    )
-                    r_out = np.minimum(
-                        np.where(ct > 0, ax1 / ct, np.inf),
-                        np.where(st > 0, ay1 / st, np.inf),
-                    )
-                r_out = np.minimum(r_out, np.finfo(float).max)
-                good = r_out > r_in
-                radial = np.where(good, (r_out**m - np.maximum(r_in, 0.0) ** m) / m, 0.0)
-                return ct**j * st**k * radial
-
-            # Gauss-Legendre on each angular panel between corner directions
-            for lo, hi in zip(corner_angles[:-1], corner_angles[1:]):
-                mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-                total += coef * (half * float(np.sum(_GAUSS_W * angular(mid + half * _GAUSS_X))))
-    return total
+_ERF = np.frompyfunc(math.erf, 1, 1)  # math.erf keeps scipy off the import path
+# trapezoid step in u = log s: the integrand is analytic for |Im u| < pi/2, so
+# the step error is about exp(-pi^2 / 0.3) ~ 5e-15; the tails are cut after exp(-40)
+_LOG_STEP, _LOG_SPAN = 0.3, 40.0
 
 
 def riesz_cell_integral(alpha: float, x_lo_a, x_hi_a, x_lo_b, x_hi_b, dim: int) -> float:
     """Double integral of |x-y|^(-alpha) over two axis-aligned boxes, d <= 2.
 
-    d=1 is exact; d=2 reduces to smooth angular quadratures after a
-    difference-coordinate, per-quadrant decomposition (accuracy well below
-    1e-6).
+    d=1 is exact. d=2 integrates the Gaussian scale mixture over u = log s:
+    s^(alpha/2) J_1(s) J_2(s) / Gamma(alpha/2), J_i the axis-i corner sum of
+    F_s(w) = w (sqrt(pi)/2) erf(sqrt(s) w) / sqrt(s) + expm1(-s w^2) / (2s). The
+    part s^(alpha/2) (L e^(-s tau) + P (1 - e^(-s tau)) / s), with P = pi times the
+    two overlaps, L = (product of the four widths) - P tau and tau the pair's mean
+    |x-y|^2, has the s -> 0 and s -> inf limits and a closed-form integral; the
+    rest decays like e^(-|u|/2) or faster and is summed by the trapezoid rule.
+    It matches a polar quadrature and dblquad oracles to about 1e-14 relative.
     """
     if not 0.0 < alpha < dim:
         raise DomainError(f"Riesz cell integral needs alpha in (0, d)=(0,{dim})")
@@ -360,17 +299,28 @@ def riesz_cell_integral(alpha: float, x_lo_a, x_hi_a, x_lo_b, x_hi_b, dim: int) 
         return riesz_cell_integral_1d(alpha, x_lo_a[0], x_hi_a[0], x_lo_b[0], x_hi_b[0])
     if dim > 2:
         raise CapabilityError(f"Riesz cell integrals are implemented for d <= 2, got d={dim}")
-
-    panels = [_axis_panels(x_lo_a[i], x_hi_a[i], x_lo_b[i], x_hi_b[i]) for i in range(2)]
-    total = 0.0
-    for rx in zip(panels[0][:-1], panels[0][1:]):
-        for ry in zip(panels[1][:-1], panels[1][1:]):
-            coeffs = [
-                _overlap_linear_coeffs(x_lo_a[i], x_hi_a[i], x_lo_b[i], x_hi_b[i], *r)
-                for i, r in enumerate((rx, ry))
-            ]
-            total += _riesz_rect_integral_2d(alpha, coeffs, (rx, ry))
-    return total
+    a, b, c, d = (np.asarray(v, dtype=float) for v in (x_lo_a, x_hi_a, x_lo_b, x_hi_b))
+    gaps = np.array([b - c, a - d, a - c, b - d])  # (corner, axis); corner signs + + - -
+    scale = float(np.abs(gaps).max())  # the integral scales like length^(4 - alpha)
+    gaps, widths = gaps / scale, np.concatenate([b - a, d - c]) / scale
+    area = float(np.prod(widths))
+    if area == 0.0:
+        return 0.0
+    upper = math.pi * math.prod(_interval_overlap(*ends) for ends in zip(a, b, c, d)) / scale**2
+    centre = 0.5 * (gaps[0] + gaps[1])
+    tau = float(np.sum(centre * centre) + np.sum(widths * widths) / 12.0)  # mean |x-y|^2
+    lower = area - upper * tau
+    half = 0.5 * alpha
+    u_hi = -2.0 * math.log(widths.min()) + _LOG_SPAN / (1.5 - half)
+    s = np.exp(np.arange(-_LOG_SPAN / (1.0 + half), u_hi + _LOG_STEP, _LOG_STEP))
+    s3, root = s[:, None, None], np.sqrt(s[:, None, None])
+    erf = _ERF(root * gaps).astype(float)
+    f = gaps * (0.5 * math.sqrt(math.pi)) * erf / root + np.expm1(-s3 * gaps * gaps) / (2 * s3)
+    mixed = np.prod(f[:, 0] + f[:, 1] - f[:, 2] - f[:, 3], axis=1)
+    fade = np.expm1(-s * tau)
+    rest = s**half * (mixed - lower * (1.0 + fade) + upper * fade / s)
+    closed = lower * tau**-half + upper * tau ** (1.0 - half) / (1.0 - half)
+    return (closed + _LOG_STEP * float(np.sum(rest)) / math.gamma(half)) * scale ** (4.0 - alpha)
 
 
 def cell_covariance(cell_a: Cell, cell_b: Cell, spec: NoiseSpec) -> float:

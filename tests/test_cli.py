@@ -243,12 +243,15 @@ class TestNoiseCommand:
 
 class TestColdStart:
     def test_cli_import_loads_no_scipy(self):
-        # only the quadrature route (check --numeric) may pay for scipy
+        # only the quadrature route (check --numeric) may pay for scipy; the
+        # d=2 Riesz cell integrals use math.erf
         src = str(Path(spde_lab.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = (
-            "import spde_lab.cli, sys; "
+            "import spde_lab.cli, sys; from spde_lab import grids, noise; "
+            "noise.HomogeneousNoiseSampler(grids.SpaceTimeGrid(grids.TimeGrid(1.0, 2), 1.0, 4, "
+            "dim=2), noise.NoiseSpec.fractional_riesz(0.7, 1.3)); "
             "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
         )
         proc = subprocess.run(
@@ -278,6 +281,42 @@ class TestTypedValues:
         assert exc.value.code == 2
         err = _last_json(capsys)
         assert err["error"] == "usage" and argv[1] in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--t", "nan"],
+        ["simulate", "--t", "1,inf"],
+        ["simulate", "--p=2,-inf"],
+        ["chaos", "--model", "pam", "--t", "inf"],
+        ["certificate", "--big-t", "inf"],
+        ["check", "--op", "heat", "--alpha", "nan", "--hurst", "0.75"],
+        ["fk", "--hurst", "0.7", "--alpha", "0.5", "--t", "NaN"],
+    ], ids=["simulate-t-nan", "simulate-t-list-inf", "simulate-p-inf", "chaos-t-inf",
+            "certificate-big-t-inf", "check-alpha-nan", "fk-t-nan"])
+    def test_non_finite_option_exits_2(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--seed", "1", "--out", tmp_path / "out"])
+        assert exc.value.code == 2
+        err = _last_json(capsys)
+        assert err["error"] == "usage" and "finite" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cfg", [
+        {"command": "chaos", "t": math.nan},
+        {"command": "simulate", "t": [math.inf]},
+        {"command": "simulate", "t": [0.5, math.nan], "p": [2.0]},
+        {"command": "certificate", "big_t": -math.inf},
+        {"command": "check", "op": "heat", "alpha": math.nan, "hurst": 0.75},
+    ], ids=["chaos-t-nan", "simulate-t-inf", "simulate-t-list-nan", "certificate-big-t-inf",
+            "check-alpha-nan"])
+    def test_non_finite_config_value_exits_2(self, tmp_path, capsys, cfg):
+        # json writes these as the non-JSON tokens NaN, Infinity and -Infinity
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seed": 0, **cfg}))
+        code = run([cfg["command"], "--config", path, "--out", tmp_path / "out"])
+        assert code == 2
+        err = _last_json(capsys)
+        assert err["error"] == "InputError" and "finite" in err["message"]
         assert not (tmp_path / "out").exists()
 
     def test_list_options_parse_to_numbers(self, tmp_path):

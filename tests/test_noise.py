@@ -169,8 +169,9 @@ class TestCellCovariance:
         )
         assert mine == pytest.approx(1.0 * oracle, abs=1e-6)
 
-    def test_riesz_d2_identical_cell_vs_polar_oracle(self):
-        alpha, h = 1.3, 0.5
+    @pytest.mark.parametrize("alpha", [0.02, 0.5, 1.3, 1.98])
+    def test_riesz_d2_identical_cell_vs_polar_oracle(self, alpha):
+        h = 0.5
 
         def inner(th):
             c, s = np.cos(th), np.sin(th)
@@ -178,9 +179,11 @@ class TestCellCovariance:
             m1, m2, m3 = 2.0 - alpha, 3.0 - alpha, 4.0 - alpha
             return h * h * r**m1 / m1 - h * (c + s) * r**m2 / m2 + c * s * r**m3 / m3
 
-        oracle, _ = integrate.quad(lambda th: 8 * inner(th), 0, np.pi / 4, epsabs=1e-13)
+        oracle, _ = integrate.quad(
+            lambda th: 8 * inner(th), 0, np.pi / 4, epsabs=1e-13, epsrel=1e-13
+        )
         mine = riesz_cell_integral(alpha, (0, 0), (h, h), (0, 0), (h, h), 2)
-        assert mine == pytest.approx(oracle, abs=1e-10)
+        assert mine == pytest.approx(oracle, rel=1e-10)
 
     def test_riesz_d2_touching_vs_dblquad(self):
         alpha, h = 1.3, 0.5
@@ -201,6 +204,33 @@ class TestCellCovariance:
                 oracle += v
         mine = riesz_cell_integral(alpha, (0, 0), (h, h), (h, 0), (2 * h, h), 2)
         assert mine == pytest.approx(oracle, abs=1e-6)
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.3])
+    @pytest.mark.parametrize("boxes", [
+        ((0.0, 0.0), (0.5, 0.5), (0.5, 0.5), (1.0, 1.0)),
+        ((0.0, 0.0), (0.5, 0.5), (1.5, 1.0), (2.0, 1.5)),
+        ((0.0, 0.0), (1.0, 0.2), (0.6, 0.02), (0.8, 0.18)),
+    ], ids=["diagonal-touching", "far", "flat-nested"])
+    def test_riesz_d2_vs_dblquad(self, boxes, alpha):
+        # in difference coordinates u = x - y, axis i weighs u_i by the overlap
+        # of [lo_a, hi_a] and [lo_b + u_i, hi_b + u_i], piecewise linear in u_i
+        lo_a, hi_a, lo_b, hi_b = boxes
+        weights, kinks = [], []
+        for a, b, c, d in zip(lo_a, hi_a, lo_b, hi_b):
+            weights.append(lambda u, a=a, b=b, c=c, d=d: max(0.0, min(b, d + u) - max(a, c + u)))
+            # the kinks, plus 0 where |u|^(-alpha) is singular, inside the support [a-d, b-c]
+            kinks.append(sorted({k for k in (a - c, b - d, 0.0) if a - d < k < b - c}
+                                | {a - d, b - c}))
+
+        def f(u2, u1):
+            return weights[0](u1) * weights[1](u2) * (u1 * u1 + u2 * u2) ** (-alpha / 2)
+
+        oracle = 0.0
+        for lo, hi in zip(kinks[0][:-1], kinks[0][1:]):
+            for lo2, hi2 in zip(kinks[1][:-1], kinks[1][1:]):
+                oracle += integrate.dblquad(f, lo, hi, lo2, hi2, epsabs=1e-14, epsrel=1e-12)[0]
+        mine = riesz_cell_integral(alpha, lo_a, hi_a, lo_b, hi_b, 2)
+        assert mine == pytest.approx(oracle, rel=1e-10)
 
     def test_riesz_d3_overlapping_rejected(self):
         with pytest.raises(CapabilityError):
@@ -257,7 +287,7 @@ class TestHomogeneousNoise:
         assert np.array_equal(a, b)
 
     def test_two_dimensional_riesz_field(self):
-        # d = 2 exercises the quadrature cell integrals and the offset table
+        # d = 2 exercises the Gaussian-mixture cell integrals and the offset table
         grid = SpaceTimeGrid(TimeGrid(0.5, 4), 1.0, 4, dim=2)
         spec = NoiseSpec.fractional_riesz(0.7, 1.3)
         sampler = HomogeneousNoiseSampler(grid, spec)

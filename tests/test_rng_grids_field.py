@@ -5,9 +5,11 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spde_lab import rng
-from spde_lab.errors import DomainError, InputError
+from spde_lab.errors import DomainError, InputError, SpdeLabError
 from spde_lab.field import Field, read_spdf, write_csv, write_spdf
 from spde_lab.grids import SpaceTimeGrid, TimeGrid
 from spde_lab.rng import RngStream, map_replica_blocks, replica_blocks, row_chunks
@@ -181,6 +183,29 @@ class TestFieldSerialization:
         with pytest.raises(InputError):
             read_spdf(path)
 
+    def test_spdf_header_dim_above_3_rejected(self, tmp_path):
+        # caught before the shape read, which would ask for 8 * ndim bytes
+        path = tmp_path / "field.spdf"
+        with open(path, "wb") as fh:
+            fh.write(b"SPDF1")
+            fh.write(struct.pack("<IBI", 2**32 - 2, 0, 2**32 - 1))
+        with pytest.raises(InputError, match="dim <= 3"):
+            read_spdf(path)
+
+    @pytest.mark.parametrize("shape", [(2**32, 2**32), (2**64 - 1, 0)],
+                             ids=["wraps-to-0", "empty-axis"])
+    def test_spdf_shape_with_no_payload_rejected(self, tmp_path, shape):
+        # 2^32 x 2^32 values wrap to 0 in int64; both shapes "match" an empty
+        # payload, and numpy cannot reshape it to either
+        path = tmp_path / "field.spdf"
+        with open(path, "wb") as fh:
+            fh.write(b"SPDF1")
+            fh.write(struct.pack("<IBI", 1, 0, 2))
+            fh.write(struct.pack("<2Q", *shape))
+            fh.write(struct.pack("<dd", 1.0, 1.0))
+        with pytest.raises(InputError):
+            read_spdf(path)
+
     def test_spdf_little_endian_float64_layout(self, tmp_path):
         f = self._field(False)
         path = tmp_path / "field.spdf"
@@ -208,3 +233,37 @@ class TestFieldSerialization:
             Field(grid, np.zeros((9, 4)))
         with pytest.raises(InputError):
             Field(grid, np.zeros((4, 5)))
+
+
+@pytest.fixture(scope="module")
+def spdf_files(tmp_path_factory):
+    """The bytes of valid SPDF files: d=1 on cells and d=2 on nodes."""
+    root = tmp_path_factory.mktemp("spdf")
+    files = []
+    for dim, nt in ((1, 3), (2, 4)):
+        grid = SpaceTimeGrid(TimeGrid(1.0, 3), 1.0, 2, dim=dim)
+        path = root / f"d{dim}.spdf"
+        write_spdf(Field(grid, np.arange(nt * 2**dim, dtype=float).reshape((nt,) + (2,) * dim)),
+                   path)
+        files.append(path.read_bytes())
+    return root, files
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_spdf_corrupt_files_read_or_raise_typed_errors(spdf_files, data):
+    """A truncated or byte-flipped SPDF file reads as a Field or raises a
+    SpdeLabError, never another exception."""
+    root, files = spdf_files
+    raw = bytearray(data.draw(st.sampled_from(files)))
+    del raw[data.draw(st.integers(0, len(raw))):]  # truncate, possibly to nothing
+    if raw:  # then flip up to three bytes
+        for pos in data.draw(st.lists(st.integers(0, len(raw) - 1), max_size=3)):
+            raw[pos] ^= data.draw(st.integers(1, 255))
+    path = root / "corrupt.spdf"
+    path.write_bytes(bytes(raw))
+    try:
+        fld = read_spdf(path)
+    except SpdeLabError:
+        return
+    assert isinstance(fld, Field)
