@@ -20,6 +20,13 @@ log s sums over s. Cell masses of a homogeneous noise have separable covariance
 
 so the full covariance is a Kronecker product T (x) S whose Cholesky factor
 is chol(T) (x) chol(S).
+
+Fractional Brownian motion is sampled exactly by circulant embedding
+(Davies & Harte 1987; Dietrich & Newsam 1997): its increments are fractional
+Gaussian noise, whose autocovariance is the (1/2, 2H) Toeplitz row with
+h = dt. Embedded in a circulant of size 2n, the row's eigenvalues are one
+FFT, and each pair of paths costs one FFT of complex normals, with no n x n
+matrix and no cap on n.
 """
 
 from __future__ import annotations
@@ -33,8 +40,9 @@ import numpy as np
 from .errors import CapabilityError, DomainError, InputError, NumericalError
 from .field import Field
 from .grids import SpaceTimeGrid, TimeGrid
-from .rng import as_generator
+from .rng import as_generator, row_chunks
 
+# cell cap of HomogeneousNoiseSampler, whose time and space factors are dense
 DEFAULT_CHOLESKY_CAP = 2048
 
 # ---------------------------------------------------------------------------
@@ -221,20 +229,36 @@ def cholesky_with_jitter(cov: np.ndarray) -> tuple[np.ndarray, float]:
 def sample_fbm_paths(hurst: float, grid: TimeGrid, rng, n_paths: int = 1) -> np.ndarray:
     """Zero-mean paths with pairwise covariance R_H on the nodes, B^H_0 = 0.
 
-    Exact Cholesky factorization of the node covariance; grids are capped at
-    DEFAULT_CHOLESKY_CAP nodes.
+    Exact circulant embedding (Davies & Harte 1987): the fGn increment row,
+    the fractional power-law row with h = dt over lags 0..n, is the first row
+    of a circulant of size 2n whose eigenvalues lam come from one FFT. For
+    complex normals z1 + i z2, the first n entries of
+    FFT(sqrt(lam / 2n) (z1 + i z2)) have independent real and imaginary parts,
+    each an increment path, so path pair j is paths 2j and 2j + 1. Pairs are
+    drawn in order, one ``rng.row_chunks`` chunk at a time, so the first k
+    paths depend neither on n_paths nor on the chunk size. O(n log n) per
+    pair and no n x n array. Negative eigenvalues down to -1e-12 times the
+    largest are clipped to 0; a more negative one raises NumericalError.
     """
-    if grid.n_steps > DEFAULT_CHOLESKY_CAP:
-        raise InputError(
-            f"fBm sampling factorizes an n x n covariance; n_steps={grid.n_steps} "
-            f"exceeds the cap {DEFAULT_CHOLESKY_CAP}"
+    if not 0.0 < hurst < 1.0:
+        raise DomainError(f"Hurst index must lie in (0,1), got {hurst}")
+    n = grid.n_steps
+    lam = np.fft.hfft(_power_law_row(_power_law(FRACTIONAL, hurst), grid.dt, n + 1))
+    if lam.min() < -1e-12 * lam.max():
+        raise NumericalError(
+            f"fBm circulant embedding is indefinite (H={hurst}, n={n}): "
+            f"eigenvalue {lam.min():.3g} against largest {lam.max():.3g}"
         )
-    nodes = grid.nodes()[1:]
-    L, _ = cholesky_with_jitter(fbm_covariance_matrix(hurst, nodes))
+    root = np.sqrt(np.maximum(lam, 0.0) / (2 * n))
     gen = as_generator(rng)
-    z = gen.standard_normal((n_paths, grid.n_steps))
-    paths = np.zeros((n_paths, grid.n_steps + 1))
-    paths[:, 1:] = z @ L.T
+    paths = np.zeros((n_paths, n + 1))
+    for lo, hi in row_chunks((n_paths + 1) // 2, 32 * n):
+        z = gen.standard_normal((hi - lo, 2 * n, 2)).view(np.complex128)[..., 0]
+        z *= root
+        inc = np.fft.fft(z)[:, :n]
+        np.cumsum(inc.real, axis=1, out=paths[2 * lo : 2 * hi : 2, 1:])
+        odd = paths[2 * lo + 1 : 2 * hi : 2, 1:]
+        np.cumsum(inc.imag[: len(odd)], axis=1, out=odd)
     return paths
 
 
@@ -249,8 +273,6 @@ def _interval_overlap(a: float, b: float, c: float, d: float) -> float:
 
 def _power_law(kind: str, param: float | None) -> tuple[float, float]:
     """(c, p) of F(w) = c |w|^p, the second antiderivative of a 1-d kernel."""
-    if kind == WHITE:
-        return 0.5, 1.0
     if kind == FRACTIONAL:
         return 0.5, 2.0 * param
     return 1.0 / ((1.0 - param) * (2.0 - param)), 2.0 - param
@@ -358,16 +380,24 @@ def _gather_by_gap(table: np.ndarray) -> np.ndarray:
     return table[tuple(gaps)]
 
 
-def _power_law_toeplitz(law: tuple[float, float], h: float, n: int) -> np.ndarray:
-    """Covariance of n consecutive cells of width h; at lag m it is the
-    corner sum c h^p ((m+1)^p + |m-1|^p - 2 m^p)."""
+def _power_law_row(law: tuple[float, float], h: float, n: int) -> np.ndarray:
+    """Covariance of cell 0 with cells 0..n-1 of width h: at lag m the corner
+    sum c h^p ((m+1)^p + |m-1|^p - 2 m^p). The bracket is 2 at lag 0 and
+    2^p - 2 at lag 1; from lag 2 on it is written without its cancellation as
+    2 m^p (expm1(p/2 log1p(-1/m^2)) cosh(d) + 2 sinh(d/2)^2), d = p atanh(1/m)."""
     coef, p = law
-    m = np.arange(n, dtype=float)
-    return _gather_by_gap(coef * h**p * ((m + 1) ** p + np.abs(m - 1) ** p - 2 * m**p))
+    m = np.arange(2, n, dtype=float)
+    d = p * np.arctanh(1.0 / m)
+    far = 2.0 * m**p * (np.expm1(0.5 * p * np.log1p(-1.0 / m**2)) * np.cosh(d)
+                        + 2.0 * np.sinh(0.5 * d) ** 2)
+    return coef * h**p * np.concatenate([[2.0, 2.0**p - 2.0][:n], far])
 
 
 def time_factor_matrix(tgrid: TimeGrid, tk: TimeKernel) -> np.ndarray:
-    return _power_law_toeplitz(_power_law(tk.kind, tk.hurst), tgrid.dt, tgrid.n_steps)
+    if tk.kind == WHITE:
+        return np.eye(tgrid.n_steps) * tgrid.dt
+    row = _power_law_row(_power_law(FRACTIONAL, tk.hurst), tgrid.dt, tgrid.n_steps)
+    return _gather_by_gap(row)
 
 
 def space_factor_matrix(grid: SpaceTimeGrid, sk: SpaceKernel) -> np.ndarray:
@@ -377,7 +407,7 @@ def space_factor_matrix(grid: SpaceTimeGrid, sk: SpaceKernel) -> np.ndarray:
     if not sk.alpha < dim:
         raise DomainError(f"Riesz kernel needs alpha < d; alpha={sk.alpha}, d={dim}")
     if dim == 1:
-        return _power_law_toeplitz(_power_law(RIESZ, sk.alpha), grid.dx, n)
+        return _gather_by_gap(_power_law_row(_power_law(RIESZ, sk.alpha), grid.dx, n))
     # d >= 2: one cell integral from cell 0 to each offset sorted per axis
     edges = grid.space_edges()
     lo, hi = (edges[0],) * dim, (edges[1],) * dim

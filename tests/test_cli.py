@@ -7,11 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spde_lab
+from spde_lab import noise
 from spde_lab.cli import _build_parser, _subparsers, main
 from spde_lab.field import read_spdf
 
@@ -233,6 +235,24 @@ class TestNoiseCommand:
                     "--seed", "6", "--out", tmp_path]) == 0
         fld = read_spdf(tmp_path / "field.spdf")
         assert fld.values.shape == (8, 8)
+
+    def test_fbm_65536_nodes_config_rerun_byte_identical(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(["noise", "--kind", "fbm", "--hurst", "0.7", "--n-steps", "65536",
+                    "--seed", "6", "--out", a]) == 0
+        assert run(["noise", "--config", a / "config.json", "--out", b]) == 0
+        for name in ("path.csv", "config.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        assert len((a / "path.csv").read_text().strip().splitlines()) == 3 + 65_537
+
+    def test_fbm_indefinite_embedding_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(noise, "_power_law_row", lambda law, h, n: np.array([1.0, 0.9, -0.5]))
+        code = run(["noise", "--kind", "fbm", "--hurst", "0.7", "--n-steps", "2",
+                    "--out", tmp_path])
+        assert code == 3
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "NumericalError"
+        assert not (tmp_path / "path.csv").exists()
 
     def test_homogeneous_requires_alpha_with_hurst(self, tmp_path):
         code = run(["noise", "--kind", "homogeneous", "--hurst", "0.7",

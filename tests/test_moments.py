@@ -26,7 +26,7 @@ from spde_lab.moments import (
     lyapunov_closed_form,
     lyapunov_fit,
 )
-from spde_lab.noise import NoiseSpec, sample_bm_paths, sample_fbm_paths
+from spde_lab.noise import NoiseSpec, sample_bm_paths, sample_fbm_paths, time_factor_matrix
 from spde_lab.rng import RngStream, map_replica_blocks
 from spde_lab.solvers import geometric_bm, geometric_fbm, pam_log_second_moment
 
@@ -206,12 +206,10 @@ class TestFkSecondMoment:
 
     def test_shared_pair_distances_bit_identical(self):
         # oracle: the block as it was, with the pair distances taken twice
-        hurst, alpha, t, replicas, n_quad = 0.7, 0.5, 0.25, 300, 24
+        alpha, t, replicas, n_quad = 0.5, 0.25, 300, 24
         delta = t / n_quad
         floor = delta / 2.0
-        h2 = 2.0 * hurst
-        m = np.abs(np.arange(n_quad)[:, None] - np.arange(n_quad)[None, :]).astype(float)
-        wt = 0.5 * delta**h2 * ((m + 1.0) ** h2 + np.abs(m - 1.0) ** h2 - 2.0 * m**h2)
+        wt = time_factor_matrix(TimeGrid(t, n_quad), self.SPEC.time_kernel)
         sq_gaps = np.sqrt(np.diff((np.arange(n_quad) + 0.5) * delta, prepend=0.0))
 
         def block(gen, count):
@@ -237,13 +235,11 @@ class TestFkSecondMoment:
         # oracle: the block as it was, with every pair array a whole block's;
         # chunks of 3 replicas over blocks of 7 leave a trailing lone replica
         # in each block, and 50 = 7 * 7 + 1 leaves a block of one
-        hurst, alpha, t, replicas, n_quad = 0.7, 0.5, 0.25, 50, 100
+        alpha, t, replicas, n_quad = 0.5, 0.25, 50, 100
         monkeypatch.setattr(rng, "CHUNK_BYTES", 3 * 8 * n_quad * n_quad * d)
         delta = t / n_quad
         floor = delta / 2.0
-        h2 = 2.0 * hurst
-        m = np.abs(np.arange(n_quad)[:, None] - np.arange(n_quad)[None, :]).astype(float)
-        wt = 0.5 * delta**h2 * ((m + 1.0) ** h2 + np.abs(m - 1.0) ** h2 - 2.0 * m**h2)
+        wt = time_factor_matrix(TimeGrid(t, n_quad), self.SPEC.time_kernel)
         sq_gaps = np.sqrt(np.diff((np.arange(n_quad) + 0.5) * delta, prepend=0.0))
 
         def block(gen, count):

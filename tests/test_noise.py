@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from spde_lab.errors import CapabilityError, DomainError, InputError
+from spde_lab import noise, rng
+from spde_lab.errors import CapabilityError, DomainError, InputError, NumericalError
 from spde_lab.grids import SpaceTimeGrid, TimeGrid
 from spde_lab.noise import (
     Cell,
@@ -138,9 +140,70 @@ class TestFbm:
             _, jitter = cholesky_with_jitter(cov)
             assert jitter <= 1e-10 * np.trace(cov)
 
-    def test_cap(self):
-        with pytest.raises(InputError):
-            sample_fbm_paths(0.7, TimeGrid(1.0, 4096), RngStream(0))
+    def test_no_node_cap(self):
+        paths = sample_fbm_paths(0.7, TimeGrid(1.0, 65_536), RngStream(0), 4)
+        assert paths.shape == (4, 65_537) and np.all(np.isfinite(paths))
+
+    @pytest.mark.parametrize("hurst", [0.25, 0.5, 0.7, 0.95])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 257])
+    def test_embedding_covariance_exact(self, n, hurst):
+        # unit normals pushed through the sampler's linear map: path pair j
+        # takes the j-th unit vector of the 4n normals a pair draws, so the
+        # real and imaginary paths' Gram matrices are their covariances
+        feed = _NormalFeed(np.eye(4 * n))
+        paths = sample_fbm_paths(hurst, TimeGrid(1.0, n), feed, 8 * n)
+        real, imag = paths[0::2], paths[1::2]
+        exact = fbm_covariance_matrix(hurst, TimeGrid(1.0, n).nodes())
+        tol = 1e-12 * exact.diagonal().max()
+        assert np.max(np.abs(real.T @ real - exact)) <= tol
+        assert np.max(np.abs(imag.T @ imag - exact)) <= tol
+        assert np.max(np.abs(real.T @ imag)) <= tol
+
+    @pytest.mark.parametrize("row, ok", [([1.0, 0.5, -1e-15], True), ([1.0, 0.9, -0.5], False)],
+                             ids=["clipped", "indefinite"])
+    def test_negative_embedding_eigenvalue(self, monkeypatch, row, ok):
+        # n = 2 embeds the row in [c0, c1, c2, c1], with eigenvalue c0 - 2 c1 + c2
+        # -1e-15 (clipped to 0) or -1.3 (an indefinite embedding)
+        monkeypatch.setattr(noise, "_power_law_row", lambda law, h, n: np.array(row))
+        if ok:
+            assert np.fft.hfft(row).min() < 0.0
+            assert np.all(np.isfinite(sample_fbm_paths(0.7, TimeGrid(1.0, 2), RngStream(0), 3)))
+        else:
+            with pytest.raises(NumericalError):
+                sample_fbm_paths(0.7, TimeGrid(1.0, 2), RngStream(0), 3)
+
+    def test_paths_independent_of_chunks_and_count(self, monkeypatch):
+        n = 64
+        grid = TimeGrid(1.0, n)
+        paths = sample_fbm_paths(0.7, grid, RngStream(8), 1000)
+        for k in (1, 2, 7, 64):
+            assert np.array_equal(sample_fbm_paths(0.7, grid, RngStream(8), k), paths[:k])
+        monkeypatch.setattr(rng, "CHUNK_BYTES", 2 * 32 * n)  # two pairs of paths
+        assert np.array_equal(sample_fbm_paths(0.7, grid, RngStream(8), 1000), paths)
+
+    def test_memory_below_one_covariance(self):
+        n, n_paths = 2048, 64
+        tracemalloc.start()
+        try:
+            sample_fbm_paths(0.7, TimeGrid(1.0, n), RngStream(2), n_paths)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n_paths * (n + 1) + 8 * n * n
+
+
+class _NormalFeed(np.random.Generator):
+    """A generator whose standard normals are the given values, in order."""
+
+    def __init__(self, values):
+        super().__init__(np.random.PCG64(0))
+        self._values, self._used = values.ravel(), 0
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        count = math.prod(size)
+        chunk = self._values[self._used : self._used + count]
+        self._used += count
+        return chunk.reshape(size).astype(dtype, copy=True)
 
 
 class TestCellCovariance:
@@ -315,14 +378,20 @@ class TestHomogeneousNoise:
             HomogeneousNoiseSampler(grid, NoiseSpec.space_time_white())
 
 
-def _old_time_factor(tgrid, tk):
-    """The direct n x n formula the Toeplitz builder replaced."""
+def _direct_time_factor(tgrid, tk):
+    """The time factor entry by entry on the n x n lag matrix: dt on the
+    diagonal for white noise, the cancellation-free second difference for
+    fractional noise."""
     n, dt = tgrid.n_steps, tgrid.dt
     if tk.kind == "white":
         return np.eye(n) * dt
-    h2 = 2.0 * tk.hurst
+    p = 2.0 * tk.hurst
     m = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]).astype(float)
-    return 0.5 * dt**h2 * ((m + 1) ** h2 + np.abs(m - 1) ** h2 - 2 * m**h2)
+    far = np.maximum(m, 2.0)
+    d = p * np.arctanh(1.0 / far)
+    far = 2.0 * far**p * (np.expm1(0.5 * p * np.log1p(-1.0 / far**2)) * np.cosh(d)
+                          + 2.0 * np.sinh(0.5 * d) ** 2)
+    return 0.5 * dt**p * np.where(m == 0, 2.0, np.where(m == 1, 2.0**p - 2.0, far))
 
 
 def _old_riesz_row_1d(grid, alpha):
@@ -364,7 +433,25 @@ class TestFactorMatrices:
     def test_time_factor_bit_identical_to_direct_formula(self, t_max, n, tk):
         tgrid = TimeGrid(t_max, n)
         new = time_factor_matrix(tgrid, tk)
-        assert new.tobytes() == _old_time_factor(tgrid, tk).tobytes()
+        assert new.tobytes() == _direct_time_factor(tgrid, tk).tobytes()
+
+    @pytest.mark.parametrize("hurst", [0.55, 0.7, 0.95])
+    def test_fractional_time_factor_vs_mpmath(self, hurst):
+        # per entry to 2e-14 relative; the plain second difference
+        # (m+1)^p + |m-1|^p - 2 m^p cancels and misses this bound
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        tgrid = TimeGrid(2.0, 512)
+        p, dt = mpmath.mpf(2 * hurst), mpmath.mpf(tgrid.dt)
+        exact = np.array([
+            float(dt**p / 2 * ((m + 1) ** p + abs(m - 1) ** p - 2 * mpmath.mpf(m) ** p))
+            for m in range(tgrid.n_steps)
+        ])
+        new = time_factor_matrix(tgrid, TimeKernel.fractional(hurst))
+        assert np.max(np.abs(new[0] / exact - 1.0)) <= 2e-14
+        m, h2 = np.arange(tgrid.n_steps, dtype=float), 2 * hurst
+        old = 0.5 * tgrid.dt**h2 * ((m + 1) ** h2 + np.abs(m - 1) ** h2 - 2 * m**h2)
+        assert np.max(np.abs(old / exact - 1.0)) > 2e-14
 
     @pytest.mark.parametrize("n, alpha", [(16, 0.5), (6, 1.3), (5, 0.3)])
     def test_d2_riesz_factor_bit_identical_to_pair_loop(self, n, alpha):
@@ -373,8 +460,8 @@ class TestFactorMatrices:
         assert new.tobytes() == _old_pair_loop(grid, alpha).tobytes()
 
     def test_d1_riesz_row_vs_old_row_and_mpmath(self):
-        # both rows lose digits to the same second-difference cancellation;
-        # errors are relative to the diagonal, the largest entry
+        # the old row loses digits to the second-difference cancellation the
+        # new one avoids; errors are relative to the diagonal, the largest entry
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 40
         worst_old = worst_new = 0.0
