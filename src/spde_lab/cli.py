@@ -4,12 +4,13 @@ Every run resolves its parameters into a flat config dict that is embedded
 in all emitted artifacts (and written as ``config.json``); re-running with
 ``--config config.json`` reproduces the artifacts byte for byte. Exit codes:
 0 success, 2 validation failure (with an error JSON on stdout), 3 numerical
-failure.
+failure, which includes a NaN or infinite result: no artifact holds one.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -65,17 +66,50 @@ def _canonical(config: dict) -> str:
     return json.dumps(config, sort_keys=True, separators=(",", ":"))
 
 
-def _write_json(path: Path, config: dict, results: dict) -> None:
-    payload = {"version": __version__, "config": config, "results": results}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _plain(value):
+    """A result as JSON values: a dataclass becomes a dict of its fields, an
+    ndarray or a tuple becomes a list, recursively."""
+    if dataclasses.is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _write_json(path: Path, config: dict, results) -> None:
+    """Write a JSON artifact: version, config and ``results`` made plain.
+
+    NaN and infinity are not JSON, so a non-finite result raises
+    ``NumericalError`` (exit 3) before the file is written."""
+    payload = {"version": __version__, "config": config, "results": _plain(results)}
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise NumericalError(f"{path.name}: a result is not finite") from None
+    path.write_text(text + "\n")
 
 
 def _csv_header(config: dict) -> str:
     return f"# spde-lab {__version__}\n# config: {_canonical(config)}\n"
 
 
-def _write_csv(path: Path, config: dict, body: str) -> None:
-    path.write_text(_csv_header(config) + body)
+def _cell(value) -> str:
+    if not isinstance(value, float):
+        return str(value)
+    if not math.isfinite(value):
+        raise NumericalError(f"a CSV value is not finite: {value}")
+    return format(value, ".17g")
+
+
+def _write_table(path: Path, config: dict, columns, rows) -> None:
+    """Write a CSV artifact: the version and config header, the ``columns``
+    line, then one line per row; floats with 17 significant digits."""
+    lines = [",".join(columns)] + [",".join(map(_cell, row)) for row in rows]
+    path.write_text(_csv_header(config) + "\n".join(lines) + "\n")
 
 
 def _finite_float(text: str) -> float:
@@ -136,11 +170,11 @@ def _resolve_seed(args) -> int:
 
 
 def _auto_pam_grid(t: float, n_steps: int, half_width: float | None) -> SpaceTimeGrid:
+    time = TimeGrid(t, n_steps)
     half = 8.0 * math.sqrt(t) if half_width is None else half_width
-    dt = t / n_steps
-    n_cells = int(np.ceil(2 * half / (0.8 * math.sqrt(dt))))
+    n_cells = int(np.ceil(2 * half / (0.8 * math.sqrt(time.dt))))
     n_cells += n_cells % 2
-    return SpaceTimeGrid(TimeGrid(t, n_steps), half, n_cells)
+    return SpaceTimeGrid(time, half, n_cells)
 
 
 def run_simulate(cfg: dict, out: Path, threads: int = 1) -> None:
@@ -186,38 +220,31 @@ def run_simulate(cfg: dict, out: Path, threads: int = 1) -> None:
             ts, [r.estimate for r in rows if r.p == ps[0]], kappa
         )
         report.closed_form_lambda = lam
-    _write_csv(out / "moments.csv", cfg, report.csv_text())
-    _write_json(out / "report.json", cfg, report.to_dict())
+    _write_json(out / "report.json", cfg, report)
+    columns = ("model", "t", "p", "estimate", "stderr", "replicas")
+    _write_table(out / "moments.csv", cfg, columns, map(dataclasses.astuple, rows))
 
 
 def run_chaos(cfg: dict, out: Path, threads: int = 1) -> None:
     t, n = cfg["t"], cfg["n"]
     if cfg["model"] == "pam":
-        series = pam_chaos_series(t, n)
-        lines = ["n,term_variance,partial_sum,closed_form"]
-        for i in range(n + 1):
-            lines.append(
-                f"{i},{series.term_variances[i]:.17g},{series.partial_sums[i]:.17g},"
-                f"{series.closed_form:.17g}"
-            )
-        _write_csv(out / "chaos.csv", cfg, "\n".join(lines) + "\n")
-        _write_json(out / "chaos.json", cfg, series.to_dict())
+        result = pam_chaos_series(t, n)
+        columns = ("n", "term_variance", "partial_sum", "closed_form")
+        rows = zip(result.orders, result.term_variances, result.partial_sums,
+                   [result.closed_form] * (n + 1))
     else:  # gbm or gfbm
         kind = "bm" if cfg["model"] == "gbm" else "fbm"
         partials = chaos_geometric_partials(t, cfg["b"], n, kind, cfg.get("hurst"))
-        if kind == "bm":
-            closed = math.exp(cfg["b"] - t / 2.0)
-        else:
-            closed = math.exp(cfg["b"] - t ** (2 * cfg["hurst"]) / 2.0)
-        lines = ["n,partial_sum,closed_form"]
-        for i, v in enumerate(partials):
-            lines.append(f"{i},{v:.17g},{closed:.17g}")
-        _write_csv(out / "chaos.csv", cfg, "\n".join(lines) + "\n")
-        _write_json(
-            out / "chaos.json",
-            cfg,
-            {"partial_sums": list(partials), "closed_form": closed},
-        )
+        variance = t if kind == "bm" else t ** (2 * cfg["hurst"])
+        try:
+            closed = math.exp(cfg["b"] - variance / 2.0)
+        except OverflowError:
+            raise NumericalError(f"closed form exp(b - s^2/2) overflows at b={cfg['b']}") from None
+        result = {"partial_sums": partials, "closed_form": closed}
+        columns = ("n", "partial_sum", "closed_form")
+        rows = zip(range(n + 1), partials, [closed] * (n + 1))
+    _write_json(out / "chaos.json", cfg, result)
+    _write_table(out / "chaos.csv", cfg, columns, rows)
 
 
 def run_check(cfg: dict, out: Path, threads: int = 1) -> None:
@@ -248,14 +275,11 @@ def run_certificate(cfg: dict, out: Path, threads: int = 1) -> None:
         mc_replicas=cfg["replicas"],
         rng=RngStream(cfg["seed"]),
     )
-    lines = ["n,a_n,stderr,bound,partial_sum_p1,partial_sum_p2"]
-    for i in range(cfg["n_max"] + 1):
-        lines.append(
-            f"{i},{cert.a_n[i]:.17g},{cert.stderr[i]:.17g},{cert.bounds[i]:.17g},"
-            f"{cert.partial_sums_p1[i]:.17g},{cert.partial_sums_p2[i]:.17g}"
-        )
-    _write_csv(out / "certificate.csv", cfg, "\n".join(lines) + "\n")
-    _write_json(out / "certificate.json", cfg, cert.to_dict())
+    _write_json(out / "certificate.json", cfg, cert)
+    columns = ("n", "a_n", "stderr", "bound", "partial_sum_p1", "partial_sum_p2")
+    rows = zip(cert.orders, cert.a_n, cert.stderr, cert.bounds, cert.partial_sums_p1,
+               cert.partial_sums_p2)
+    _write_table(out / "certificate.csv", cfg, columns, rows)
 
 
 def run_fk(cfg: dict, out: Path, threads: int = 1) -> None:
@@ -270,7 +294,7 @@ def run_fk(cfg: dict, out: Path, threads: int = 1) -> None:
         threads=threads,
     )
     print(json.dumps({"estimate": est.estimate, "stderr": est.stderr}))
-    _write_json(out / "fk.json", cfg, est.to_dict())
+    _write_json(out / "fk.json", cfg, est)
 
 
 def run_holder(cfg: dict, out: Path, threads: int = 1) -> None:
@@ -286,21 +310,11 @@ def run_holder(cfg: dict, out: Path, threads: int = 1) -> None:
         base_node=cfg.get("base_node"),
         threads=threads,
     )
-    tf, sf = study["time_fit"], study["space_fit"]
-    lines = ["axis,lag,spacing,norm"]
-    for fit in (tf, sf):
-        for lag, sp, norm in zip(fit.lags, fit.lag_spacings, fit.norms):
-            lines.append(f"{fit.axis},{lag},{sp:.17g},{norm:.17g}")
-    _write_csv(out / "holder.csv", cfg, "\n".join(lines) + "\n")
-    _write_json(
-        out / "holder.json",
-        cfg,
-        {
-            "time_fit": tf.to_dict(),
-            "space_fit": sf.to_dict(),
-            "window_nodes": study["window_nodes"],
-        },
-    )
+    _write_json(out / "holder.json", cfg,
+                {key: study[key] for key in ("time_fit", "space_fit", "window_nodes")})
+    fits = (study["time_fit"], study["space_fit"])
+    rows = [(f.axis, *row) for f in fits for row in zip(f.lags, f.lag_spacings, f.norms)]
+    _write_table(out / "holder.csv", cfg, ("axis", "lag", "spacing", "norm"), rows)
 
 
 def run_noise(cfg: dict, out: Path, threads: int = 1) -> None:
@@ -312,29 +326,30 @@ def run_noise(cfg: dict, out: Path, threads: int = 1) -> None:
             path = sample_bm_paths(grid, stream)[0]
         else:
             path = sample_fbm_paths(cfg["hurst"], grid, stream)[0]
-        lines = ["t,value"]
-        for tv, v in zip(grid.nodes(), path):
-            lines.append(f"{tv:.17g},{v:.17g}")
-        _write_csv(out / "path.csv", cfg, "\n".join(lines) + "\n")
+        _write_table(out / "path.csv", cfg, ("t", "value"), zip(grid.nodes(), path))
         return
     grid = SpaceTimeGrid(
         TimeGrid(cfg["t"], cfg["n_steps"]), cfg["half_width"], cfg["n_cells"]
     )
-    if kind == "sheet":
-        fld = sample_white_noise_sheet(grid, stream)
-    else:  # homogeneous
-        if cfg.get("hurst") is None:
-            spec = NoiseSpec.space_time_white()
-        else:
-            spec = NoiseSpec.fractional_riesz(cfg["hurst"], cfg["alpha"])
-        fld = sample_homogeneous_noise(grid, spec, stream)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        if kind == "sheet":
+            fld = sample_white_noise_sheet(grid, stream)
+        else:  # homogeneous
+            if cfg.get("hurst") is None:
+                spec = NoiseSpec.space_time_white()
+            else:
+                spec = NoiseSpec.fractional_riesz(cfg["hurst"], cfg["alpha"])
+            fld = sample_homogeneous_noise(grid, spec, stream)
+    # the field writers do not go through _write_table, so check here
+    if not np.isfinite(fld.values).all():
+        raise NumericalError(f"the {kind} noise field is not finite")
     if cfg["format"] == "spdf":
         write_spdf(fld, out / "field.spdf")
     else:
         write_field_csv(fld, out / "field.csv")
         # prepend the artifact header while keeping the coordinate header
         body = (out / "field.csv").read_text()
-        _write_csv(out / "field.csv", cfg, body)
+        (out / "field.csv").write_text(_csv_header(cfg) + body)
 
 
 _RUNNERS = {
@@ -503,8 +518,13 @@ def _resolve_config(args) -> dict:
         if key in skip or value is None:
             continue
         cfg[key] = value
-    if args.command == "simulate" and cfg["model"] == "gfbm" and cfg.get("hurst") is None:
-        raise InputError("gfbm requires --hurst")
+    if args.command == "simulate":
+        if cfg["model"] == "gfbm" and cfg.get("hurst") is None:
+            raise InputError("gfbm requires --hurst")
+        if cfg["model"] == "gfbm" and not 0.0 < cfg["hurst"] < 1.0:
+            raise DomainError(f"Hurst index must lie in (0,1), got {cfg['hurst']}")
+        if min(cfg["t"]) <= 0:
+            raise DomainError(f"simulate times must be positive, got {cfg['t']}")
     if args.command == "chaos" and cfg["model"] == "gfbm" and cfg.get("hurst") is None:
         raise InputError("gfbm chaos requires --hurst")
     if args.command == "check" and cfg["op"] in ("heat", "wave") and cfg.get("hurst") is None:

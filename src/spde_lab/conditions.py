@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, InputError
+from .errors import CapabilityError, DomainError, InputError, NumericalError
 from .kernels import HEAT, WAVE, OperatorSpec
 from .rng import as_generator
 
@@ -61,11 +61,10 @@ class ConditionVerdict:
 
 @dataclass(frozen=True)
 class SpectralMeasure:
-    """Radial measure with density ``constant * r**exponent`` (or Lebesgue)."""
+    """Radial measure with density ``constant * r**exponent``; exponent 0 is Lebesgue."""
 
     exponent: float = 0.0
     constant: float = 1.0
-    white: bool = False
 
     def __post_init__(self):
         if self.constant <= 0:
@@ -73,7 +72,7 @@ class SpectralMeasure:
 
     @staticmethod
     def lebesgue() -> "SpectralMeasure":
-        return SpectralMeasure(0.0, 1.0, white=True)
+        return SpectralMeasure(0.0, 1.0)
 
     @staticmethod
     def riesz_dual(alpha: float, d: int) -> "SpectralMeasure":
@@ -88,9 +87,6 @@ class SpectralMeasure:
         if not 0.0 < hurst < 1.0:
             raise DomainError(f"Hurst index must lie in (0,1), got {hurst}")
         return SpectralMeasure(1.0 - 2.0 * hurst, 1.0)
-
-    def radial_exponent(self) -> float:
-        return 0.0 if self.white else self.exponent
 
 
 def _beta_integral(a: float, kappa: float) -> float:
@@ -142,7 +138,7 @@ def dalang_integral_numeric(
     """
     from scipy import integrate
 
-    beta = mu.radial_exponent()
+    beta = mu.exponent
     a = d + beta
     if a <= 0.0:
         raise DomainError(
@@ -181,8 +177,8 @@ def general_joint_condition(
 
     if op_kind not in (HEAT, WAVE):
         raise DomainError(f"operator kind must be 'heat' or 'wave', got {op_kind!r}")
-    bt = nu.radial_exponent()
-    bs = mu.radial_exponent()
+    bt = nu.exponent
+    bs = mu.exponent
     if not -1.0 < bt < 1.0:
         return ConditionVerdict(
             False, None, QUADRATURE, {"op": op_kind, "beta_t": bt, "beta_s": bs, "d": d},
@@ -305,18 +301,6 @@ class GronwallCertificate:
         sums = self.partial_sums_p1 if p == 1 else self.partial_sums_p2
         return float(sums[-1] - sums[-1 - last])
 
-    def to_dict(self) -> dict:
-        return {
-            "orders": self.orders.tolist(),
-            "a_n": self.a_n.tolist(),
-            "stderr": self.stderr.tolist(),
-            "bounds": self.bounds.tolist(),
-            "partial_sums_p1": self.partial_sums_p1.tolist(),
-            "partial_sums_p2": self.partial_sums_p2.tolist(),
-            "g_total": self.g_total,
-            "replicas": self.replicas,
-        }
-
 
 def _profile_sampler(profile, T: float):
     """G(T) = int_0^T g(s) ds and an inverse-CDF sampler for g / G(T) on [0, T]."""
@@ -349,6 +333,12 @@ def dalang_gronwall_certificate(
     """
     if T <= 0:
         raise DomainError(f"T must be positive, got {T}")
+    if not M >= 0:
+        raise DomainError(f"M must be nonnegative, got {M}")
+    if n_max < 0:
+        raise InputError(f"n_max must be >= 0, got {n_max}")
+    if mc_replicas < 1:
+        raise InputError(f"mc_replicas must be >= 1, got {mc_replicas}")
     g_total, inv_cdf = _profile_sampler(profile, T)
     if g_total == 0.0:
         raise InputError("degenerate profile: G(T) = 0")
@@ -361,16 +351,20 @@ def dalang_gronwall_certificate(
     inside = s <= T
     p_hat[1:] = inside.mean(axis=0)
     p_err[1:] = np.sqrt(p_hat[1:] * (1.0 - p_hat[1:]) / mc_replicas)
-    powers = g_total ** np.arange(n_max + 1)
-    a_n = powers * p_hat
-    stderr = powers * p_err
-    return GronwallCertificate(
-        orders=np.arange(n_max + 1),
-        a_n=a_n,
-        stderr=stderr,
-        bounds=M * a_n,
-        partial_sums_p1=np.cumsum(a_n),
-        partial_sums_p2=np.cumsum(np.sqrt(a_n)),
-        g_total=g_total,
-        replicas=mc_replicas,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = g_total ** np.arange(n_max + 1)
+        a_n = powers * p_hat
+        cert = GronwallCertificate(
+            orders=np.arange(n_max + 1),
+            a_n=a_n,
+            stderr=powers * p_err,
+            bounds=M * a_n,
+            partial_sums_p1=np.cumsum(a_n),
+            partial_sums_p2=np.cumsum(np.sqrt(a_n)),
+            g_total=g_total,
+            replicas=mc_replicas,
+        )
+    arrays = [cert.a_n, cert.stderr, cert.bounds, cert.partial_sums_p1, cert.partial_sums_p2]
+    if not (math.isfinite(g_total) and np.all(np.isfinite(arrays))):
+        raise NumericalError(f"certificate overflows: G(T) = {g_total}, n_max = {n_max}, M = {M}")
+    return cert

@@ -30,9 +30,6 @@ from .rng import RngStream, map_replica_blocks, row_chunks
 # moment reports
 # ---------------------------------------------------------------------------
 
-CSV_COLUMNS = ("model", "t", "p", "estimate", "stderr", "replicas")
-
-
 @dataclass(frozen=True)
 class MomentRow:
     model: str
@@ -41,18 +38,6 @@ class MomentRow:
     estimate: float
     stderr: float
     replicas: int
-
-    def to_csv_row(self) -> str:
-        return ",".join(
-            [
-                self.model,
-                f"{self.t:.17g}",
-                f"{self.p:.17g}",
-                f"{self.estimate:.17g}",
-                f"{self.stderr:.17g}",
-                str(self.replicas),
-            ]
-        )
 
 
 @dataclass
@@ -63,19 +48,6 @@ class MomentReport:
     kappa: float | None = None
     fitted_lambda: float | None = None
     closed_form_lambda: float | None = None
-
-    def csv_text(self) -> str:
-        lines = [",".join(CSV_COLUMNS)]
-        lines += [r.to_csv_row() for r in self.rows]
-        return "\n".join(lines) + "\n"
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [r.__dict__ for r in self.rows],
-            "kappa": self.kappa,
-            "fitted_lambda": self.fitted_lambda,
-            "closed_form_lambda": self.closed_form_lambda,
-        }
 
 
 def jackknife_stderr(samples: np.ndarray) -> float:
@@ -205,18 +177,6 @@ class PathPairEstimate:
     delta_floor: float
     parameters: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "estimate_half_floor": self.estimate_half_floor,
-            "stderr_half_floor": self.stderr_half_floor,
-            "replicas": self.replicas,
-            "n_quad": self.n_quad,
-            "delta_floor": self.delta_floor,
-            "parameters": dict(self.parameters),
-        }
-
 
 def fk_second_moment(
     t: float,
@@ -326,16 +286,6 @@ class HolderFit:
     p: float
     axis: str
 
-    def to_dict(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "lags": list(self.lags),
-            "lag_spacings": self.lag_spacings.tolist(),
-            "norms": self.norms.tolist(),
-            "p": self.p,
-            "axis": self.axis,
-        }
-
 
 DEFAULT_HOLDER_LAGS = (2, 4, 8, 16, 32)
 
@@ -363,7 +313,7 @@ def holder_estimate(
         raise InputError(f"axis must be 'time' or 'space', got {axis!r}")
     ax = 1 if axis == "time" else 2
     n_axis = u.shape[ax]
-    usable = [m for m in lags if (m < n_axis if not periodic_space else m <= n_axis // 2)]
+    usable = [m for m in lags if 0 < m and (m < n_axis if not periodic_space else m <= n_axis // 2)]
     if len(usable) < 3:
         raise InputError(
             f"need at least 3 usable lag scales on an axis of length {n_axis}, "
@@ -415,6 +365,8 @@ def linear_heat_holder_study(
     """
     from .solvers import linear_heat_node_samples  # local import, avoids a cycle
 
+    if any(m < 1 for m in (*time_lags, *space_lags)):
+        raise InputError(f"lags must be >= 1, got time {time_lags}, space {space_lags}")
     nt = grid.time.n_steps
     max_lag = max(time_lags)
     k0 = (3 * nt) // 4 if base_node is None else base_node

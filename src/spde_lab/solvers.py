@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, InputError
+from .errors import CapabilityError, DomainError, InputError, NumericalError
 from .field import Field
 from .grids import SpaceTimeGrid
 from .kernels import heat_kernel
@@ -109,13 +109,6 @@ class PicardTrace:
         if d.size and (not np.all(np.isfinite(d)) or np.any(d < 0)):
             raise InputError("successive differences must be finite and nonnegative")
 
-    def to_dict(self) -> dict:
-        return {
-            "sup_sq_diffs": np.asarray(self.sup_sq_diffs).tolist(),
-            "n_iter": self.n_iter,
-            "replicas": self.replicas,
-        }
-
 
 @dataclass
 class ChaosSeries:
@@ -132,15 +125,6 @@ class ChaosSeries:
             raise InputError("chaos term variances must be nonnegative")
         if np.any(np.diff(self.partial_sums) < 0):
             raise InputError("chaos partial sums must be nondecreasing")
-
-    def to_dict(self) -> dict:
-        return {
-            "orders": np.asarray(self.orders).tolist(),
-            "term_variances": np.asarray(self.term_variances).tolist(),
-            "partial_sums": np.asarray(self.partial_sums).tolist(),
-            "truncation_order": self.truncation_order,
-            "closed_form": self.closed_form,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +255,15 @@ def chaos_geometric_partials(
     partials = np.empty(n_terms + 1)
     partials[0] = total = 1.0
     ratio = 1.0  # s^n / n!
-    for n in range(1, n_terms + 1):
-        ratio *= s / n
-        total += math.ldexp(ratio * mant[n], int(exp2[n]))
-        partials[n] = total
+    try:
+        for n in range(1, n_terms + 1):
+            ratio *= s / n
+            total += math.ldexp(ratio * float(mant[n]), int(exp2[n]))
+            partials[n] = total
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise NumericalError(f"geometric chaos partial sums overflow at t={t}, endpoint={endpoint}")
     return partials
 
 
@@ -489,14 +478,20 @@ def pam_chaos_term_variance(n: int, t: float) -> float:
         raise DomainError(f"chaos order must be >= 1, got {n}")
     if not t > 0:
         raise DomainError(f"t must be positive, got {t}")
-    return math.exp(0.5 * n * math.log(t / 4.0) - math.lgamma(0.5 * n + 1.0))
+    try:
+        return math.exp(0.5 * n * math.log(t / 4.0) - math.lgamma(0.5 * n + 1.0))
+    except OverflowError:
+        raise NumericalError(f"chaos term variance of order {n} overflows at t={t}") from None
 
 
 def pam_second_moment_closed_form(t: float) -> float:
     """2 e^(t/4) Phi(sqrt(t/2))."""
     if not t > 0:
         raise DomainError(f"t must be positive, got {t}")
-    return 2.0 * math.exp(t / 4.0) * std_normal_cdf(math.sqrt(t / 2.0))
+    try:
+        return 2.0 * math.exp(t / 4.0) * std_normal_cdf(math.sqrt(t / 2.0))
+    except OverflowError:
+        raise NumericalError(f"closed-form second moment overflows at t={t}") from None
 
 
 def pam_log_second_moment(t: float) -> float:
@@ -528,6 +523,8 @@ def pam_second_moment(t: float, n_terms: int) -> tuple[float, float]:
 
 
 def pam_chaos_series(t: float, n_terms: int) -> ChaosSeries:
+    if n_terms < 0:
+        raise InputError(f"n_terms must be >= 0, got {n_terms}")
     orders = np.arange(0, n_terms + 1)
     variances = np.array(
         [0.0] + [pam_chaos_term_variance(n, t) for n in range(1, n_terms + 1)]

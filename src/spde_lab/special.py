@@ -63,29 +63,19 @@ class HermiteTable:
     max_order: int = DEFAULT_MAX_ORDER
 
     def value(self, n: int, x: float) -> float:
-        if n < 0:
-            raise DomainError(f"Hermite order must be >= 0, got {n}")
-        if n > self.max_order:
-            raise CapabilityError(
-                f"Hermite order {n} exceeds configured maximum {self.max_order}"
-            )
-        mant, exp2 = _hermite_scaled_seq(n, float(x))
+        mant, exp2 = self.values_scaled(n, x)
         return math.ldexp(mant[n], int(exp2[n]))
 
     def values(self, n: int, x: float) -> np.ndarray:
         """H_0(x)..H_n(x) as a dense array (overflows to +-inf if unrepresentable)."""
-        if n < 0:
-            raise DomainError(f"Hermite order must be >= 0, got {n}")
-        if n > self.max_order:
-            raise CapabilityError(
-                f"Hermite order {n} exceeds configured maximum {self.max_order}"
-            )
-        mant, exp2 = _hermite_scaled_seq(n, float(x))
+        mant, exp2 = self.values_scaled(n, x)
         with np.errstate(over="ignore"):
             return np.ldexp(mant, exp2)
 
     def values_scaled(self, n: int, x: float) -> tuple[np.ndarray, np.ndarray]:
         """Scaled representation (mantissa, exp2); exact for orders beyond overflow."""
+        if n < 0:
+            raise DomainError(f"Hermite order must be >= 0, got {n}")
         if n > self.max_order:
             raise CapabilityError(
                 f"Hermite order {n} exceeds configured maximum {self.max_order}"

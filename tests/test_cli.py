@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,13 +14,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spde_lab
-from spde_lab import noise
+from spde_lab import cli, noise
 from spde_lab.cli import _build_parser, _subparsers, main
 from spde_lab.field import read_spdf
 
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def _strict_json(path):
+    """A JSON artifact parsed with NaN, Infinity and -Infinity rejected."""
+    return json.loads(Path(path).read_text(), parse_constant=_reject_constant)
+
+
+# one cheap seeded run per subcommand, for the --config round trip
+_ROUNDTRIP_RUNS = [
+    ["simulate", "--model", "gfbm", "--hurst", "0.75", "--t", "0.5,1.0,1.5,2.0", "--p", "2",
+     "--replicas", "5000", "--fit"],
+    ["chaos", "--model", "pam", "--t", "1", "--n", "20"],
+    ["check", "--op", "heat", "--alpha", "1.0", "--hurst", "0.75"],
+    ["certificate", "--profile", "wave", "--n-max", "8", "--replicas", "2000"],
+    ["fk", "--hurst", "0.7", "--alpha", "0.5", "--replicas", "64", "--n-quad", "16"],
+    ["holder", "--n-steps", "64", "--n-cells", "64", "--replicas", "8",
+     "--time-lags", "2,4,8", "--space-lags", "2,4,8"],
+    ["noise", "--kind", "homogeneous", "--hurst", "0.7", "--alpha", "0.5", "--n-steps", "8",
+     "--n-cells", "8"],
+]
 
 
 class TestCheckCommand:
@@ -111,14 +136,18 @@ class TestSimulateCommand:
         assert err["error"] == "InputError"
 
     def test_roundtrip_bit_identical(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert run(["simulate", "--model", "gfbm", "--hurst", "0.75",
-                    "--t", "0.5,1.0,1.5,2.0", "--p", "2", "--replicas", "5000",
-                    "--seed", "11", "--fit", "--out", a]) == 0
-        assert run(["simulate", "--config", a / "config.json", "--out", b]) == 0
-        assert (a / "moments.csv").read_bytes() == (b / "moments.csv").read_bytes()
-        assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
-        assert (a / "config.json").read_bytes() == (b / "config.json").read_bytes()
+        # every subcommand: the re-run writes the same files, byte for byte,
+        # and every JSON artifact is strict JSON
+        for argv in _ROUNDTRIP_RUNS:
+            a, b = tmp_path / argv[0] / "a", tmp_path / argv[0] / "b"
+            assert run(argv + ["--seed", "11", "--out", a]) == 0
+            assert run([argv[0], "--config", a / "config.json", "--out", b]) == 0
+            names = sorted(p.name for p in a.iterdir())
+            assert names == sorted(p.name for p in b.iterdir())
+            for name in names:
+                assert (a / name).read_bytes() == (b / name).read_bytes()
+                if name.endswith(".json"):
+                    _strict_json(a / name)
 
     def test_threads_do_not_change_artifacts(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -384,6 +413,49 @@ class TestTypedValues:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+class TestRangeChecks:
+    """Values of the right type but outside their range exit 2, and results
+    that overflow exit 3; neither writes an artifact."""
+
+    @pytest.mark.parametrize("argv", [
+        ["certificate", "--n-max", "-1"],
+        ["certificate", "--replicas", "0"],
+        ["certificate", "--m", "-1"],
+        ["simulate", "--model", "gbm", "--t", "-1"],
+        ["simulate", "--model", "pam-white", "--n-steps", "0"],
+        ["chaos", "--n", "-1"],
+        ["simulate", "--model", "gfbm", "--hurst", "1.5"],
+        ["simulate", "--model", "gfbm", "--hurst", "-0.5"],
+        ["holder", "--time-lags=-8,-4,-2"],
+    ], ids=["certificate-n-max", "certificate-replicas", "certificate-m", "gbm-t",
+            "pam-white-n-steps", "chaos-n", "gfbm-hurst-above", "gfbm-hurst-below",
+            "holder-time-lags"])
+    def test_out_of_range_exits_2(self, tmp_path, capsys, argv):
+        assert run(argv + ["--seed", "1", "--out", tmp_path / "out"]) == 2
+        assert _last_json(capsys)["error"] in ("DomainError", "InputError")
+        assert not list((tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "--model", "pam", "--t", "5000"],
+        ["certificate", "--profile", "constant", "--beta", "1e300", "--big-t", "1e10"],
+        ["chaos", "--model", "gbm", "--b", "1000"],
+        ["noise", "--kind", "sheet", "--half-width", "1e308"],
+        ["noise", "--kind", "homogeneous", "--half-width", "1e308", "--format", "spdf"],
+    ], ids=["pam-closed-form", "certificate-constant", "gbm-closed-form", "noise-sheet",
+            "noise-homogeneous"])
+    def test_overflow_exits_3(self, tmp_path, capsys, argv):
+        assert run(argv + ["--seed", "1", "--out", tmp_path / "out"]) == 3
+        assert _last_json(capsys)["error"] == "NumericalError"
+        assert not list((tmp_path / "out").glob("*"))
+
+    def test_writer_rejects_non_finite_results(self, tmp_path, capsys, monkeypatch):
+        # the artifact writer is the last guard for a result the library let through
+        monkeypatch.setattr(cli, "chaos_geometric_partials", lambda *args: np.array([1.0, np.inf]))
+        assert run(["chaos", "--model", "gbm", "--n", "1", "--out", tmp_path]) == 3
+        assert _last_json(capsys)["error"] == "NumericalError"
+        assert not list(tmp_path.glob("chaos.*"))
+
+
 def _json_kind(value):
     if isinstance(value, bool):
         return "bool"
@@ -392,13 +464,15 @@ def _json_kind(value):
 
 @pytest.fixture(scope="module")
 def written_configs(tmp_path_factory):
-    """config.json files written by three cheap runs."""
+    """config.json files written by five cheap runs, by run name."""
     root = tmp_path_factory.mktemp("configs")
     runs = {
         "check": ["check", "--op", "heat", "--alpha", "1.0", "--hurst", "0.75"],
         "chaos": ["chaos", "--model", "gbm", "--t", "0.5", "--b", "1.0", "--n", "12"],
         "simulate": ["simulate", "--model", "gbm", "--t", "0.5,1", "--p", "2",
                      "--replicas", "200"],
+        "certificate": ["certificate", "--replicas", "200", "--n-max", "5"],
+        "pam-white": ["simulate", "--model", "pam-white", "--n-steps", "4", "--replicas", "20"],
     }
     configs = {}
     for name, argv in runs.items():
@@ -433,8 +507,8 @@ def test_config_fuzz_exits_2_never_1(written_configs, data):
     """One key of a written config set to a value of another JSON type, or
     one unknown key added: the re-run exits 2 with error JSON."""
     root, configs = written_configs
-    command = data.draw(st.sampled_from(sorted(configs)))
-    cfg = dict(configs[command])
+    cfg = dict(configs[data.draw(st.sampled_from(sorted(configs)))])
+    command = cfg["command"]
     known = {a.dest for p in _subparsers(_build_parser()).values() for a in p._actions}
     if data.draw(st.booleans()):
         key = data.draw(st.sampled_from(sorted(cfg)))
@@ -452,3 +526,28 @@ def test_config_fuzz_exits_2_never_1(written_configs, data):
     assert code == 2
     assert json.loads(out.getvalue().strip().splitlines()[-1])["error"] == "InputError"
     assert not (root / "fuzz-out").exists()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_config_edge_values_exit_0_2_or_3(written_configs, data):
+    """One numeric key of a written config set to 0, -1 or -0.5 (a list to
+    that one value): the re-run exits 0, 2 or 3, never 1, and on exit 0 every
+    JSON artifact is strict JSON."""
+    root, configs = written_configs
+    name = data.draw(st.sampled_from(sorted(configs)))
+    cfg = dict(configs[name])
+    key = data.draw(st.sampled_from(
+        sorted(k for k, v in cfg.items() if _json_kind(v) in ("number", "list"))))
+    value = data.draw(st.sampled_from([0, -1, -0.5]))
+    cfg[key] = [value] if isinstance(cfg[key], list) else value
+    path = root / f"edge-{name}.json"
+    path.write_text(json.dumps(cfg))
+    out = root / "edge-out"
+    shutil.rmtree(out, ignore_errors=True)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = run([cfg["command"], "--config", path, "--out", out])
+    assert code in (0, 2, 3)
+    if code == 0:
+        for artifact in out.glob("*.json"):
+            _strict_json(artifact)

@@ -62,6 +62,7 @@ class TestClosedFormChecks:
 class TestNumericIntegral:
     def test_white_noise_case(self):
         # Lebesgue measure, kappa=1, d=1: finite, radial value pi/2
+        assert SpectralMeasure.lebesgue() == SpectralMeasure(exponent=0.0)
         v = dalang_integral_numeric(SpectralMeasure.lebesgue(), 1.0, 1)
         assert v.satisfied
         assert v.integral_estimate == pytest.approx(math.pi / 2, rel=1e-10)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spde_lab import moments, rng
+from spde_lab.cli import main
 from spde_lab.errors import (
     CapabilityError,
     ConditionNotSatisfiedError,
@@ -14,7 +15,6 @@ from spde_lab.errors import (
 )
 from spde_lab.grids import SpaceTimeGrid, TimeGrid
 from spde_lab.moments import (
-    MomentReport,
     estimate_moments,
     fit_log_slope,
     fk_second_moment,
@@ -67,12 +67,12 @@ class TestEstimateMoments:
         s2 = jackknife_stderr(x)
         assert s1 / s2 == pytest.approx(math.sqrt(2.0), rel=0.2)
 
-    def test_csv_fixed_columns(self):
-        rows = estimate_moments(np.ones(10) * 2.0, [2.0], model="m", t=0.5)
-        text = MomentReport(rows=rows).csv_text()
-        lines = text.strip().splitlines()
-        assert lines[0] == "model,t,p,estimate,stderr,replicas"
-        assert lines[1].startswith("m,0.5,2,4,")
+    def test_csv_fixed_columns(self, tmp_path):
+        assert main(["simulate", "--t", "0.5", "--p", "2", "--replicas", "10",
+                     "--seed", "1", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "moments.csv").read_text().strip().splitlines()
+        assert lines[2] == "model,t,p,estimate,stderr,replicas"
+        assert lines[3].startswith("gbm,0.5,2,") and lines[3].endswith(",10")
 
 
 class TestLyapunov:
@@ -294,6 +294,14 @@ class TestHolderEstimate:
         fields = np.random.default_rng(0).standard_normal((2, 5, 4))
         with pytest.raises(InputError):
             holder_estimate(fields, 0.1, axis="time", lags=(2, 4, 8, 16))
+        with pytest.raises(InputError):  # lags below 1 are not usable
+            holder_estimate(np.ones((2, 64, 4)), 0.1, axis="time", lags=(-2, 0, 2))
+        grid = SpaceTimeGrid(TimeGrid(1.0, 16), 1.0, 8)
+        for time_lags, space_lags in (((2,), ()), ((), (-1,))):  # one lag in all
+            with pytest.raises(InputError):
+                linear_heat_holder_study(
+                    grid, 2, RngStream(0), time_lags=time_lags, space_lags=space_lags
+                )
 
     def test_fbm_path_exponent_matches_hurst(self):
         # sanity on a process with known regularity H

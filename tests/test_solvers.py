@@ -211,9 +211,7 @@ class TestSdePicard:
         tr = solve_sde_picard(
             LipschitzFn.identity(), TimeGrid(0.5, 16), RngStream(4), 3, 8, initial=1.0
         )
-        payload = tr.to_dict()
-        assert set(payload) == {"sup_sq_diffs", "n_iter", "replicas"}
-        assert len(payload["sup_sq_diffs"]) == 3
+        assert len(tr.sup_sq_diffs) == 3
         from spde_lab.solvers import PicardTrace
 
         with pytest.raises(InputError):

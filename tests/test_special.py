@@ -49,8 +49,12 @@ class TestHermite:
             assert hermite(n, x) == pytest.approx(ref, rel=1e-11)
 
     def test_order_cap(self):
-        with pytest.raises(CapabilityError):
-            HermiteTable(50).value(51, 0.0)
+        table = HermiteTable(50)
+        for method in (table.value, table.values, table.values_scaled):
+            with pytest.raises(CapabilityError):
+                method(51, 0.0)
+            with pytest.raises(DomainError):
+                method(-1, 0.0)
         with pytest.raises(DomainError):
             hermite(-1, 0.0)
 
