@@ -178,6 +178,40 @@ class PathPairEstimate:
     parameters: dict = field(default_factory=dict)
 
 
+def _pair_exponents(
+    b1: np.ndarray, b2: np.ndarray, wt: np.ndarray, alpha: float, floor: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Interaction exponents sum_ij wt_ij max(|b1_i - b2_j|, floor)^(-alpha)
+    of each replica's path pair, at ``floor`` and at ``floor / 2``.
+
+    ``b1`` and ``b2`` have shape (replicas, n_quad, d). The pair arrays are
+    built one chunk of replicas at a time, not a whole block's. Private, so
+    a traced run times it as part of ``fk_second_moment``'s own work.
+    """
+    count, n_quad, d = b1.shape
+    # floor**-alpha from the same array power as the pair entries: numpy's
+    # SIMD float64 power and the scalar one differ in the last bit on some
+    # inputs, and only the array one is the full-floor entry's own value
+    cap = np.power(np.full(1, floor), -alpha)[0]
+    a_full, a_half = np.empty((2, count))
+    for lo, hi in row_chunks(count, 8 * n_quad * n_quad * d):
+        if d == 1:  # sqrt(x * x) == |x| exactly
+            dist = b1[lo:hi, :, None, 0] - b2[lo:hi, None, :, 0]
+            np.abs(dist, out=dist)
+        else:
+            diff = b1[lo:hi, :, None, :] - b2[lo:hi, None, :, :]
+            dist = np.sqrt(np.sum(diff * diff, axis=-1))
+        # one power per entry, at the half floor (the sensitivity variant);
+        # x -> x**-alpha is decreasing, so capping the powers at cap gives the
+        # same bits as powering the distances floored at the full floor
+        np.maximum(dist, floor / 2.0, out=dist)
+        np.power(dist, -alpha, out=dist)
+        a_half[lo:hi] = np.einsum("ij,rij->r", wt, dist)
+        np.minimum(dist, cap, out=dist)
+        a_full[lo:hi] = np.einsum("ij,rij->r", wt, dist)
+    return a_full, a_half
+
+
 def fk_second_moment(
     t: float,
     spec: NoiseSpec,
@@ -230,17 +264,7 @@ def fk_second_moment(
     def block(gen, count):
         b1 = np.cumsum(gen.standard_normal((count, n_quad, d)) * sq_gaps[:, None], axis=1)
         b2 = np.cumsum(gen.standard_normal((count, n_quad, d)) * sq_gaps[:, None], axis=1)
-        a_half, a_full = np.empty((2, count))
-        # pair arrays one chunk of replicas at a time, not a whole block's
-        for lo, hi in row_chunks(count, 8 * n_quad * n_quad * d):
-            diff = b1[lo:hi, :, None, :] - b2[lo:hi, None, :, :]
-            dist = np.sqrt(np.sum(diff * diff, axis=-1))
-            # sensitivity variant first: same paths, floor halved; raising the
-            # floor afterwards gives the same bits as flooring the raw distances
-            np.maximum(dist, floor / 2.0, out=dist)
-            a_half[lo:hi] = np.einsum("ij,rij->r", wt, dist**-alpha)
-            np.maximum(dist, floor, out=dist)
-            a_full[lo:hi] = np.einsum("ij,rij->r", wt, dist**-alpha)
+        a_full, a_half = _pair_exponents(b1, b2, wt, alpha, floor)
         with np.errstate(over="ignore"):
             return np.column_stack([np.exp(a_full), np.exp(a_half)])
 
@@ -365,6 +389,10 @@ def linear_heat_holder_study(
     """
     from .solvers import linear_heat_node_samples  # local import, avoids a cycle
 
+    if not time_lags or not space_lags:
+        raise InputError(
+            f"time and space lags must be non-empty, got time {time_lags}, space {space_lags}"
+        )
     if any(m < 1 for m in (*time_lags, *space_lags)):
         raise InputError(f"lags must be >= 1, got time {time_lags}, space {space_lags}")
     nt = grid.time.n_steps

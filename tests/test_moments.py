@@ -27,7 +27,7 @@ from spde_lab.moments import (
     lyapunov_fit,
 )
 from spde_lab.noise import NoiseSpec, sample_bm_paths, sample_fbm_paths, time_factor_matrix
-from spde_lab.rng import RngStream, map_replica_blocks
+from spde_lab.rng import RngStream, map_replica_blocks, row_chunks
 from spde_lab.solvers import geometric_bm, geometric_fbm, pam_log_second_moment
 
 
@@ -162,6 +162,55 @@ class TestIntermittency:
             intermittency_exponent_predicted("wave", 1.0, 0.5)
 
 
+def _reference_pair_exponents(b1, b2, wt, alpha, floor):
+    """The exponent sums of ``fk_second_moment``'s replica block as they were
+    before the one-power kernel (two powers per pair entry), verbatim: the
+    bit-exact oracle of ``moments._pair_exponents``."""
+    count, n_quad, d = b1.shape
+    a_half, a_full = np.empty((2, count))
+    # pair arrays one chunk of replicas at a time, not a whole block's
+    for lo, hi in row_chunks(count, 8 * n_quad * n_quad * d):
+        diff = b1[lo:hi, :, None, :] - b2[lo:hi, None, :, :]
+        dist = np.sqrt(np.sum(diff * diff, axis=-1))
+        # sensitivity variant first: same paths, floor halved; raising the
+        # floor afterwards gives the same bits as flooring the raw distances
+        np.maximum(dist, floor / 2.0, out=dist)
+        a_half[lo:hi] = np.einsum("ij,rij->r", wt, dist**-alpha)
+        np.maximum(dist, floor, out=dist)
+        a_full[lo:hi] = np.einsum("ij,rij->r", wt, dist**-alpha)
+    return a_full, a_half
+
+
+def _reference_fk_block(t, spec, d, n_quad):
+    """``fk_second_moment``'s replica block as it was, verbatim apart from the
+    exponent sums living in ``_reference_pair_exponents``."""
+    alpha = spec.space_kernel.alpha
+    delta = t / n_quad
+    floor = delta / 2.0
+    wt = time_factor_matrix(TimeGrid(t, n_quad), spec.time_kernel)
+    centers = (np.arange(n_quad) + 0.5) * delta
+    gaps = np.diff(centers, prepend=0.0)
+    sq_gaps = np.sqrt(gaps)
+
+    def block(gen, count):
+        b1 = np.cumsum(gen.standard_normal((count, n_quad, d)) * sq_gaps[:, None], axis=1)
+        b2 = np.cumsum(gen.standard_normal((count, n_quad, d)) * sq_gaps[:, None], axis=1)
+        a_full, a_half = _reference_pair_exponents(b1, b2, wt, alpha, floor)
+        with np.errstate(over="ignore"):
+            return np.column_stack([np.exp(a_full), np.exp(a_half)])
+
+    return block
+
+
+# (H, alpha, t): criterion 9's parameters, then 48 seeded draws from the
+# colored benchmark's ranges (seed 50 gives five floors where the scalar and
+# array powers split)
+FK_ORACLE_DRAWS = [(0.7, 0.5, 0.25)] + [
+    tuple(row)
+    for row in np.random.default_rng(50).uniform((0.6, 0.3, 0.1), (0.8, 0.7, 0.25), (48, 3))
+]
+
+
 class TestFkSecondMoment:
     SPEC = NoiseSpec.fractional_riesz(0.7, 0.5)
 
@@ -205,26 +254,11 @@ class TestFkSecondMoment:
         assert a.estimate == b.estimate and a.stderr == b.stderr
 
     def test_shared_pair_distances_bit_identical(self):
-        # oracle: the block as it was, with the pair distances taken twice
-        alpha, t, replicas, n_quad = 0.5, 0.25, 300, 24
-        delta = t / n_quad
-        floor = delta / 2.0
-        wt = time_factor_matrix(TimeGrid(t, n_quad), self.SPEC.time_kernel)
-        sq_gaps = np.sqrt(np.diff((np.arange(n_quad) + 0.5) * delta, prepend=0.0))
-
-        def block(gen, count):
-            b1 = np.cumsum(gen.standard_normal((count, n_quad, 1)) * sq_gaps[:, None], axis=1)
-            b2 = np.cumsum(gen.standard_normal((count, n_quad, 1)) * sq_gaps[:, None], axis=1)
-            diff = b1[:, :, None, :] - b2[:, None, :, :]
-            dist = np.sqrt(np.sum(diff * diff, axis=-1))
-            np.maximum(dist, floor, out=dist)
-            a_full = np.einsum("ij,rij->r", wt, dist**-alpha)
-            dist = np.sqrt(np.sum(diff * diff, axis=-1))
-            np.maximum(dist, floor / 2.0, out=dist)
-            a_half = np.einsum("ij,rij->r", wt, dist**-alpha)
-            return np.column_stack([np.exp(a_full), np.exp(a_half)])
-
-        vals = map_replica_blocks(replicas, block, RngStream(11), 128)
+        # one pair-distance array serves both floors
+        t, replicas, n_quad = 0.25, 300, 24
+        vals = map_replica_blocks(
+            replicas, _reference_fk_block(t, self.SPEC, 1, n_quad), RngStream(11), 128
+        )
         est = fk_second_moment(t, self.SPEC, 1, replicas, n_quad, RngStream(11))
         assert (est.estimate, est.estimate_half_floor) == tuple(vals.mean(axis=0))
         assert est.stderr == jackknife_stderr(vals[:, 0])
@@ -232,28 +266,15 @@ class TestFkSecondMoment:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_pair_chunks_bit_identical_to_whole_block(self, monkeypatch, d):
-        # oracle: the block as it was, with every pair array a whole block's;
-        # chunks of 3 replicas over blocks of 7 leave a trailing lone replica
-        # in each block, and 50 = 7 * 7 + 1 leaves a block of one
-        alpha, t, replicas, n_quad = 0.5, 0.25, 50, 100
+        # oracle: the reference block at the default chunk size, where every
+        # pair array is a whole block's; chunks of 3 replicas over blocks of 7
+        # leave a trailing lone replica in each block, and 50 = 7 * 7 + 1
+        # leaves a block of one
+        t, replicas, n_quad = 0.25, 50, 100
+        vals = map_replica_blocks(
+            replicas, _reference_fk_block(t, self.SPEC, d, n_quad), RngStream(12), 7
+        )
         monkeypatch.setattr(rng, "CHUNK_BYTES", 3 * 8 * n_quad * n_quad * d)
-        delta = t / n_quad
-        floor = delta / 2.0
-        wt = time_factor_matrix(TimeGrid(t, n_quad), self.SPEC.time_kernel)
-        sq_gaps = np.sqrt(np.diff((np.arange(n_quad) + 0.5) * delta, prepend=0.0))
-
-        def block(gen, count):
-            b1 = np.cumsum(gen.standard_normal((count, n_quad, d)) * sq_gaps[:, None], axis=1)
-            b2 = np.cumsum(gen.standard_normal((count, n_quad, d)) * sq_gaps[:, None], axis=1)
-            diff = b1[:, :, None, :] - b2[:, None, :, :]
-            dist = np.sqrt(np.sum(diff * diff, axis=-1))
-            np.maximum(dist, floor / 2.0, out=dist)
-            a_half = np.einsum("ij,rij->r", wt, dist**-alpha)
-            np.maximum(dist, floor, out=dist)
-            a_full = np.einsum("ij,rij->r", wt, dist**-alpha)
-            return np.column_stack([np.exp(a_full), np.exp(a_half)])
-
-        vals = map_replica_blocks(replicas, block, RngStream(12), 7)
         for threads in (1, 2):
             est = fk_second_moment(
                 t, self.SPEC, d, replicas, n_quad, RngStream(12), block_size=7, threads=threads
@@ -262,19 +283,66 @@ class TestFkSecondMoment:
             assert est.stderr == jackknife_stderr(vals[:, 0])
             assert est.stderr_half_floor == jackknife_stderr(vals[:, 1])
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize(
+        "hurst,alpha,t",
+        FK_ORACLE_DRAWS,
+        ids=[f"H{h:.3f}-a{a:.3f}-t{t:.3f}" for h, a, t in FK_ORACLE_DRAWS],
+    )
+    def test_one_power_kernel_bit_identical(self, d, hurst, alpha, t):
+        # the exponent sums themselves, before exp can hide a last-bit move
+        replicas, n_quad = 24, 128
+        floor = t / n_quad / 2.0
+        spec = NoiseSpec.fractional_riesz(hurst, alpha)
+        wt = time_factor_matrix(TimeGrid(t, n_quad), spec.time_kernel)
+        steps = np.random.default_rng(13).standard_normal((2, replicas, n_quad, d))
+        b1, b2 = np.cumsum(steps, axis=2) * np.sqrt(t / n_quad)
+        got = np.stack(moments._pair_exponents(b1, b2, wt, alpha, floor))
+        want = np.stack(_reference_pair_exponents(b1, b2, wt, alpha, floor))
+        assert got.tobytes() == want.tobytes()
+
+    def test_oracle_draws_cover_scalar_cap_trap(self):
+        # floor**-alpha from Python's scalar power is not always numpy's array
+        # power of the floor; the draws above must include such a floor, or a
+        # kernel capping at the scalar value could pass them
+        def split(floor, alpha):
+            return floor**-alpha != np.power(np.full(1, floor), -alpha)[0]
+
+        probe = np.random.default_rng(0).uniform((0.1, 0.3), (0.25, 0.7), (4000, 2))
+        if not any(split(t / 256, a) for t, a in probe):
+            pytest.skip("scalar and array float64 power agree on this platform")
+        assert any(split(t / 256, alpha) for _, alpha, t in FK_ORACLE_DRAWS)
+
+    def test_capped_power_identity_at_ulp_neighbours(self):
+        # the identity the one-power kernel rests on, bit for bit, at every
+        # float within 2000 ULPs of each of 3000 floors (12 M probes):
+        # min(max(x, f/2)**-a, f**-a) == max(x, f)**-a  (f**-a by array power)
+        gen = np.random.default_rng(2015)
+        offsets = np.arange(-2000, 2001)
+        floors = 10.0 ** gen.uniform(-6, 0, 3000)
+        for floor, alpha in zip(floors, gen.uniform(0.02, 1.98, 3000)):
+            x = (np.full(1, floor).view(np.int64) + offsets).view(np.float64)
+            cap = np.power(np.full(1, floor), -alpha)[0]
+            capped = np.minimum(np.power(np.maximum(x, floor / 2), -alpha), cap)
+            direct = np.power(np.maximum(x, floor), -alpha)
+            assert capped.tobytes() == direct.tobytes(), (floor, alpha)
+
     def test_pair_arrays_bounded_per_chunk(self):
         # one block of 256 replicas at n_quad 64: its whole (256, 64, 64) pair
         # array is 8 MB; the whole-block code peaked at 3.1 times that, the
-        # chunked one at 0.54 times
+        # chunked one at 0.63 times, and the in-place d = 1 kernel at 0.39
         replicas, n_quad = 256, 64
         whole = 8 * replicas * n_quad * n_quad
-        tracemalloc.start()
-        try:
-            fk_second_moment(0.2, self.SPEC, 1, replicas, n_quad, RngStream(3), block_size=256)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < whole
+        for d, bound in ((1, 0.5), (2, 1.0)):
+            tracemalloc.start()
+            try:
+                fk_second_moment(
+                    0.2, self.SPEC, d, replicas, n_quad, RngStream(3), block_size=256
+                )
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * whole, d
 
 
 class TestHolderEstimate:
@@ -302,6 +370,18 @@ class TestHolderEstimate:
                 linear_heat_holder_study(
                     grid, 2, RngStream(0), time_lags=time_lags, space_lags=space_lags
                 )
+
+    def test_study_rejects_empty_time_lags(self):
+        grid = SpaceTimeGrid(TimeGrid(0.25, 256), 4.0, 64)
+        with pytest.raises(InputError, match="non-empty"):
+            linear_heat_holder_study(grid, 2, RngStream(0), time_lags=())
+
+    def test_study_rejects_empty_space_lags(self):
+        # on a grid too short for the default time lags, the window check
+        # used to fire first and blame the grid
+        grid = SpaceTimeGrid(TimeGrid(0.25, 32), 4.0, 64)
+        with pytest.raises(InputError, match="non-empty"):
+            linear_heat_holder_study(grid, 2, RngStream(0), space_lags=())
 
     def test_fbm_path_exponent_matches_hurst(self):
         # sanity on a process with known regularity H
