@@ -156,14 +156,6 @@ def _resolve_threads(value) -> int:
     return threads
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is None:
-        if args.strict:
-            raise InputError("--seed is required in --strict mode")
-        return 0
-    return int(args.seed)
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations (each takes the resolved config dict)
 # ---------------------------------------------------------------------------
@@ -212,7 +204,7 @@ def run_simulate(cfg: dict, out: Path, threads: int = 1) -> None:
         rows.extend(estimate_moments(x, ps, model=model, t=t))
 
     report = MomentReport(rows=rows)
-    if cfg["fit"] and len(ts) >= 4:
+    if cfg["fit"]:
         name = {"gbm": "gbm", "gfbm": "gfbm", "pam-white": "pam_white"}[model]
         lam, kappa = lyapunov_closed_form(name, ps[0], cfg.get("hurst"))
         report.kappa = kappa
@@ -338,7 +330,7 @@ def run_noise(cfg: dict, out: Path, threads: int = 1) -> None:
             if cfg.get("hurst") is None:
                 spec = NoiseSpec.space_time_white()
             else:
-                spec = NoiseSpec.fractional_riesz(cfg["hurst"], cfg["alpha"])
+                spec = NoiseSpec.fractional_riesz(cfg["hurst"], cfg.get("alpha"))
             fld = sample_homogeneous_noise(grid, spec, stream)
     # the field writers do not go through _write_table, so check here
     if not np.isfinite(fld.values).all():
@@ -368,119 +360,141 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 
 
+# domain text -> its test; the edge fuzz in the tests reads the ends from the text
+_DOMAINS = {
+    "> 0": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    ">= 2": lambda v: v >= 2,
+    "in (0, 1)": lambda v: 0 < v < 1,
+    "in (1/2, 1)": lambda v: 0.5 < v < 1,
+}
+_FLOATS = _number_list(_finite_float, "finite float")
+_INTS = _number_list(int, "int")
+
+
+@dataclasses.dataclass(frozen=True)
+class _Option:
+    """One option of a subcommand and one key of its config file: ``kind`` is
+    an argparse type, a list of choices or ``bool`` for a flag. A given value
+    (each element of a list) must lie in ``domain`` whatever the run, and a run
+    whose selector value is in ``needs`` (every run, if None) must have one."""
+
+    name: str
+    kind: object
+    default: object = None
+    domain: str | None = None
+    needs: tuple | None = None
+    help: str | None = None
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+
+# subcommand -> (help, selector option or None, options); every subcommand also
+# has --seed and the command-line-only --strict, --threads, --out and --config
+_COMMANDS = {
+    "simulate": ("moment estimation for gbm/gfbm/pam-white", "model", (
+        _Option("model", ["gbm", "gfbm", "pam-white"], "gbm"),
+        _Option("t", _FLOATS, "1.0", "> 0", help="comma-separated times"),
+        _Option("p", _FLOATS, "2.0", ">= 1", help="comma-separated moment orders"),
+        _Option("replicas", int, 10_000, ">= 1"),
+        _Option("hurst", _finite_float, None, "in (0, 1)", ("gfbm",)),
+        _Option("n_steps", int, 256, ">= 1", ("pam-white",)),
+        _Option("half_width", _finite_float, None, "> 0", ()),
+        _Option("fit", bool, help="fit a Lyapunov slope"),
+    )),
+    "chaos": ("chaos-series tables", "model", (
+        _Option("model", ["pam", "gbm", "gfbm"], "pam"),
+        _Option("t", _finite_float, 1.0, "> 0"),
+        _Option("n", int, 60, ">= 0"),
+        _Option("b", _finite_float, 0.0, None, ("gbm", "gfbm"), "endpoint value (gbm/gfbm)"),
+        _Option("hurst", _finite_float, None, "in (1/2, 1)", ("gfbm",)),
+    )),
+    "check": ("existence-condition verdicts", "op", (
+        _Option("op", ["heat", "wave", "dalang"]),
+        _Option("alpha", _finite_float, None, "> 0"),
+        _Option("hurst", _finite_float, None, "in (1/2, 1)", ("heat", "wave")),
+        # alpha must lie in (0, d); d = 2 admits the full alpha < 2 range
+        _Option("d", int, 2, ">= 1"),
+        _Option("numeric", bool, help="also run the quadrature route"),
+    )),
+    "certificate": ("extension-of-Gronwall coefficient bounds", "profile", (
+        _Option("profile", ["heat", "wave", "constant"], "heat"),
+        _Option("beta", _finite_float, 1.0, ">= 0", ("constant",), "constant-profile value"),
+        _Option("big_t", _finite_float, 1.0, "> 0"),
+        _Option("m", _finite_float, 1.0, ">= 0"),
+        _Option("n_max", int, 20, ">= 0"),
+        _Option("replicas", int, 100_000, ">= 1"),
+    )),
+    "fk": ("two-path exponential-functional second moment", None, (
+        _Option("hurst", _finite_float, None, "in (1/2, 1)"),
+        _Option("alpha", _finite_float, None, "> 0"),
+        _Option("d", int, 1, ">= 1"),
+        _Option("t", _finite_float, 0.25, "> 0"),
+        _Option("replicas", int, 10_000, ">= 1"),
+        _Option("n_quad", int, 128, ">= 2"),
+    )),
+    "holder": ("empirical regularity exponents, linear heat", None, (
+        _Option("t", _finite_float, 0.25, "> 0"),
+        _Option("n_steps", int, 1024, ">= 1"),
+        _Option("n_cells", int, 512, ">= 1"),
+        _Option("half_width", _finite_float, 4.0, "> 0"),
+        _Option("replicas", int, 128, ">= 1"),
+        _Option("time_lags", _INTS, "4,8,16,32,64", ">= 1"),
+        _Option("space_lags", _INTS, "2,4,8,16", ">= 1"),
+        _Option("base_node", int, None, ">= 0", ()),
+    )),
+    "noise": ("raw noise dumps (paths, sheets, homogeneous fields)", "kind", (
+        _Option("kind", ["bm", "fbm", "sheet", "homogeneous"]),
+        _Option("t", _finite_float, 1.0, "> 0"),
+        _Option("n_steps", int, 128, ">= 1"),
+        _Option("n_cells", int, 16, ">= 1", ("sheet", "homogeneous")),
+        _Option("half_width", _finite_float, 1.0, "> 0", ("sheet", "homogeneous")),
+        _Option("hurst", _finite_float, None, "in (0, 1)", ("fbm",)),
+        # a fractional homogeneous field also needs --alpha; its noise spec checks that
+        _Option("alpha", _finite_float, None, "in (0, 1)", ()),
+        _Option("format", ["csv", "spdf"], "csv", None, ("sheet", "homogeneous")),
+    )),
+}
+_OPTIONS = {c: {o.name: o for o in options + (_Option("seed", int, needs=()),)}
+            for c, (_, _, options) in _COMMANDS.items()}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="spde-lab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"spde-lab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    floats = _number_list(_finite_float, "finite float")
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=None)
+    for command, (help_text, _, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for o in _OPTIONS[command].values():
+            if o.kind is bool:
+                p.add_argument(o.flag, action="store_true", help=o.help)
+            elif isinstance(o.kind, list):
+                p.add_argument(o.flag, choices=o.kind, default=o.default, help=o.help)
+            else:
+                p.add_argument(o.flag, type=o.kind, default=o.default, help=o.help)
+        # execution knobs: always taken from the command line, never from a config file
         p.add_argument("--strict", action="store_true", help="require --seed")
         p.add_argument("--threads", type=int, default=None)
         p.add_argument("--out", type=str, default=".")
         p.add_argument("--config", type=str, default=None, help="re-run a resolved config")
-
-    p = sub.add_parser("simulate", help="moment estimation for gbm/gfbm/pam-white")
-    p.add_argument("--model", choices=["gbm", "gfbm", "pam-white"], default="gbm")
-    p.add_argument("--t", type=floats, default="1.0", help="comma-separated times")
-    p.add_argument("--p", type=floats, default="2.0", help="comma-separated moment orders")
-    p.add_argument("--replicas", type=int, default=10_000)
-    p.add_argument("--hurst", type=_finite_float, default=None)
-    p.add_argument("--n-steps", type=int, default=256)
-    p.add_argument("--half-width", type=_finite_float, default=None)
-    p.add_argument("--fit", action="store_true", help="fit a Lyapunov slope")
-    common(p)
-
-    p = sub.add_parser("chaos", help="chaos-series tables")
-    p.add_argument("--model", choices=["pam", "gbm", "gfbm"], default="pam")
-    p.add_argument("--t", type=_finite_float, default=1.0)
-    p.add_argument("--n", type=int, default=60)
-    p.add_argument("--b", type=_finite_float, default=0.0, help="endpoint value (gbm/gfbm)")
-    p.add_argument("--hurst", type=_finite_float, default=None)
-    common(p)
-
-    p = sub.add_parser("check", help="existence-condition verdicts")
-    p.add_argument("--op", choices=["heat", "wave", "dalang"], required=True)
-    p.add_argument("--alpha", type=_finite_float, required=True)
-    p.add_argument("--hurst", type=_finite_float, default=None)
-    # alpha must lie in (0, d); d = 2 admits the full alpha < 2 range
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--numeric", action="store_true", help="also run the quadrature route")
-    common(p)
-
-    p = sub.add_parser("certificate", help="extension-of-Gronwall coefficient bounds")
-    p.add_argument("--profile", choices=["heat", "wave", "constant"], default="heat")
-    p.add_argument("--beta", type=_finite_float, default=1.0, help="constant-profile value")
-    p.add_argument("--big-t", type=_finite_float, default=1.0)
-    p.add_argument("--m", type=_finite_float, default=1.0)
-    p.add_argument("--n-max", type=int, default=20)
-    p.add_argument("--replicas", type=int, default=100_000)
-    common(p)
-
-    p = sub.add_parser("fk", help="two-path exponential-functional second moment")
-    p.add_argument("--hurst", type=_finite_float, required=True)
-    p.add_argument("--alpha", type=_finite_float, required=True)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--t", type=_finite_float, default=0.25)
-    p.add_argument("--replicas", type=int, default=10_000)
-    p.add_argument("--n-quad", type=int, default=128)
-    common(p)
-
-    p = sub.add_parser("holder", help="empirical regularity exponents, linear heat")
-    p.add_argument("--t", type=_finite_float, default=0.25)
-    p.add_argument("--n-steps", type=int, default=1024)
-    p.add_argument("--n-cells", type=int, default=512)
-    p.add_argument("--half-width", type=_finite_float, default=4.0)
-    p.add_argument("--replicas", type=int, default=128)
-    p.add_argument("--time-lags", type=_number_list(int, "int"), default="4,8,16,32,64")
-    p.add_argument("--space-lags", type=_number_list(int, "int"), default="2,4,8,16")
-    p.add_argument("--base-node", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("noise", help="raw noise dumps (paths, sheets, homogeneous fields)")
-    p.add_argument("--kind", choices=["bm", "fbm", "sheet", "homogeneous"], required=True)
-    p.add_argument("--t", type=_finite_float, default=1.0)
-    p.add_argument("--n-steps", type=int, default=128)
-    p.add_argument("--n-cells", type=int, default=16)
-    p.add_argument("--half-width", type=_finite_float, default=1.0)
-    p.add_argument("--hurst", type=_finite_float, default=None)
-    p.add_argument("--alpha", type=_finite_float, default=None)
-    p.add_argument("--format", choices=["csv", "spdf"], default="csv")
-    common(p)
-
-    # argparse would demand these even of a --config re-run; _parse_args checks them
-    for subparser in _subparsers(parser).values():
-        subparser.required_options = [a for a in subparser._actions if a.required]
-        for action in subparser.required_options:
-            action.required = False
     return parser
 
 
-def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
-    """Subcommand name -> its parser."""
-    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-
-
 def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
-    """Parse argv; required options are enforced only when no ``--config`` is
-    given, because a re-run takes every value from its config file."""
+    """Parse argv; options that every run needs are enforced only when no
+    ``--config`` is given, because a re-run takes every value from its file."""
     args = parser.parse_args(argv)
-    subparser = _subparsers(parser)[args.command]
-    missing = [a for a in subparser.required_options if getattr(args, a.dest) is None]
+    missing = [o.flag for o in _OPTIONS[args.command].values()
+               if o.needs is None and getattr(args, o.name) is None]
     if missing and args.config is None:
-        subparser.error(
-            "the following arguments are required: "
-            + ", ".join("/".join(a.option_strings) for a in missing)
-        )
+        raise InputError("the following arguments are required: " + ", ".join(missing))
     return args
 
 
-# execution knobs: always taken from the command line, never from a config file
-_COMMAND_LINE_ONLY = ("out", "config", "threads")
-
-
-def _config_argv(subparser: argparse.ArgumentParser, cfg: dict) -> list[str]:
+def _config_argv(command: str, cfg: dict) -> list[str]:
     """The keys of a config file as ``--option=value`` arguments.
 
     Values are written as JSON, except a string for an option with choices
@@ -488,52 +502,42 @@ def _config_argv(subparser: argparse.ArgumentParser, cfg: dict) -> list[str]:
     option's own type or choice check. A key that names no option becomes a
     bare ``{"key": value}`` argument, which the parser rejects as unrecognized.
     """
-    actions = {
-        a.dest: a
-        for a in subparser._actions
-        if a.option_strings and a.default is not argparse.SUPPRESS
-        and a.dest not in _COMMAND_LINE_ONLY
-    }
     argv = []
     for key, value in cfg.items():
         if key in ("command", "version"):
             continue
-        action = actions.get(key)
-        if action is None:
+        o = _OPTIONS[command].get(key)
+        if o is None:
             argv.append(json.dumps({key: value}))
-        elif action.nargs == 0 and isinstance(value, bool):
-            argv += [action.option_strings[0]] if value else []
+        elif o.kind is bool and isinstance(value, bool):
+            argv += [o.flag] if value else []
+        elif isinstance(o.kind, list) and isinstance(value, str):
+            argv.append(f"{o.flag}={value}")
         else:
-            text = value if isinstance(value, str) and action.choices else json.dumps(value)
-            argv.append(f"{action.option_strings[0]}={text}")
+            argv.append(f"{o.flag}={json.dumps(value)}")
     return argv
 
 
 def _resolve_config(args) -> dict:
-    """Flatten parsed args into the embedded-config dict."""
+    """The embedded-config dict of parsed args: every given value checked
+    against its option's domain, whatever the run, and every option the
+    run's selector value needs present."""
+    _, selector, _ = _COMMANDS[args.command]
+    chosen = getattr(args, selector) if selector else None
     cfg = {"command": args.command, "version": __version__}
-    cfg["seed"] = _resolve_seed(args)
-    skip = {"command", "seed", "strict", "threads", "out", "config"}
-    for key, value in vars(args).items():
-        if key in skip or value is None:
+    for o in _OPTIONS[args.command].values():
+        value = getattr(args, o.name)
+        if value is None:
+            if chosen in (o.needs or ()):
+                raise InputError(f"{chosen} requires {o.flag}")
             continue
-        cfg[key] = value
-    if args.command == "simulate":
-        if cfg["model"] == "gfbm" and cfg.get("hurst") is None:
-            raise InputError("gfbm requires --hurst")
-        if cfg["model"] == "gfbm" and not 0.0 < cfg["hurst"] < 1.0:
-            raise DomainError(f"Hurst index must lie in (0,1), got {cfg['hurst']}")
-        if min(cfg["t"]) <= 0:
-            raise DomainError(f"simulate times must be positive, got {cfg['t']}")
-    if args.command == "chaos" and cfg["model"] == "gfbm" and cfg.get("hurst") is None:
-        raise InputError("gfbm chaos requires --hurst")
-    if args.command == "check" and cfg["op"] in ("heat", "wave") and cfg.get("hurst") is None:
-        raise InputError(f"{cfg['op']} check requires --hurst")
-    if args.command == "noise":
-        if cfg["kind"] == "fbm" and cfg.get("hurst") is None:
-            raise InputError("fbm noise requires --hurst")
-        if cfg["kind"] == "homogeneous" and cfg.get("hurst") is not None and cfg.get("alpha") is None:
-            raise InputError("homogeneous fractional noise requires --alpha")
+        values = value if isinstance(value, list) else [value]
+        if o.domain and not all(map(_DOMAINS[o.domain], values)):
+            raise DomainError(f"{o.flag} must be {o.domain}, got {value}")
+        cfg[o.name] = value
+    if args.strict and args.seed is None:
+        raise InputError("--seed is required in --strict mode")
+    cfg.setdefault("seed", 0)
     return cfg
 
 
@@ -558,7 +562,7 @@ def _config_args(parser: argparse.ArgumentParser, args) -> argparse.Namespace:
         raise InputError(f"config is for command {cfg.get('command')!r}, not {args.command!r}")
     if not isinstance(cfg.get("version", ""), str):
         raise InputError(f"config version must be a string, got {cfg['version']!r}")
-    argv = [args.command] + _config_argv(_subparsers(parser)[args.command], cfg)
+    argv = [args.command] + _config_argv(args.command, cfg)
     try:
         return _parse_args(parser, argv)
     except InputError as exc:
@@ -581,15 +585,10 @@ def main(argv=None) -> int:
         # config.json is the flat resolved config itself, re-runnable via --config
         (out / "config.json").write_text(json.dumps(cfg, indent=2, sort_keys=True) + "\n")
         return 0
-    except (InputError, DomainError, NotImplementedError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
-        return EXIT_VALIDATION
-    except NumericalError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
-        return EXIT_NUMERICAL
-    except SpdeLabError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
-        return EXIT_VALIDATION
+    except (SpdeLabError, NotImplementedError, MemoryError) as exc:
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(json.dumps({"error": name, "message": str(exc)}))
+        return EXIT_NUMERICAL if isinstance(exc, (NumericalError, MemoryError)) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -91,9 +91,12 @@ class SpectralMeasure:
 
 def _beta_integral(a: float, kappa: float) -> float:
     """int_0^inf r^(a-1) (1+r^2)^(-kappa) dr = Gamma(a/2) Gamma(kappa-a/2) / (2 Gamma(kappa))."""
-    return math.exp(
-        math.lgamma(a / 2.0) + math.lgamma(kappa - a / 2.0) - math.lgamma(kappa)
-    ) / 2.0
+    try:
+        return math.exp(
+            math.lgamma(a / 2.0) + math.lgamma(kappa - a / 2.0) - math.lgamma(kappa)
+        ) / 2.0
+    except (ValueError, OverflowError):  # a / 2 underflows to 0, or Gamma(a/2) ~ 2/a overflows
+        raise NumericalError(f"the integral overflows at a={a}, kappa={kappa}") from None
 
 
 def check_dalang_riesz(alpha: float, d: int) -> ConditionVerdict:

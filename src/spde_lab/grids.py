@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,8 @@ class TimeGrid:
             raise DomainError(f"t_max must be positive, got {self.t_max}")
         if self.n_steps < 1:
             raise DomainError(f"n_steps must be >= 1, got {self.n_steps}")
+        if not self.dt > 0:
+            raise DomainError(f"time step {self.t_max}/{self.n_steps} underflows to 0")
 
     @property
     def dt(self) -> float:
@@ -52,6 +54,12 @@ class SpaceTimeGrid:
             raise DomainError(f"n_cells must be >= 1, got {self.n_cells}")
         if self.dim not in (1, 2, 3):
             raise DomainError(f"dimension must be 1, 2 or 3, got {self.dim}")
+        try:
+            volume = self.cell_volume
+        except OverflowError:  # float ** int raises where float * float gives inf
+            raise NumericalError(f"cell volume dt * dx^{self.dim} overflows") from None
+        if not volume > 0:
+            raise DomainError(f"cell volume dt * dx^{self.dim} underflows to 0")
 
     @property
     def dx(self) -> float:

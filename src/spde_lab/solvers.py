@@ -478,8 +478,11 @@ def pam_chaos_term_variance(n: int, t: float) -> float:
         raise DomainError(f"chaos order must be >= 1, got {n}")
     if not t > 0:
         raise DomainError(f"t must be positive, got {t}")
+    quarter = t / 4.0
+    # log t - log 4 only where t / 4 underflows, so every other t keeps its bits
+    log_quarter = math.log(quarter) if quarter > 0 else math.log(t) - math.log(4.0)
     try:
-        return math.exp(0.5 * n * math.log(t / 4.0) - math.lgamma(0.5 * n + 1.0))
+        return math.exp(0.5 * n * log_quarter - math.lgamma(0.5 * n + 1.0))
     except OverflowError:
         raise NumericalError(f"chaos term variance of order {n} overflows at t={t}") from None
 

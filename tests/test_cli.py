@@ -3,9 +3,11 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 import spde_lab
 from spde_lab import cli, noise
-from spde_lab.cli import _build_parser, _subparsers, main
+from spde_lab.cli import main
 from spde_lab.field import read_spdf
 
 
@@ -427,13 +429,44 @@ class TestRangeChecks:
         ["simulate", "--model", "gfbm", "--hurst", "1.5"],
         ["simulate", "--model", "gfbm", "--hurst", "-0.5"],
         ["holder", "--time-lags=-8,-4,-2"],
+        # checked whatever the model: options the chosen run ignores
+        ["simulate", "--model", "gbm", "--n-steps", "-1"],
+        ["noise", "--kind", "fbm", "--hurst", "0.7", "--n-cells", "-1", "--half-width", "-1"],
+        ["certificate", "--profile", "heat", "--beta", "-1"],
+        ["check", "--op", "dalang", "--alpha", "1", "--hurst", "7"],
+        # cells whose width underflows to 0
+        ["simulate", "--model", "pam-white", "--t", "5e-324", "--n-steps", "4"],
+        ["noise", "--kind", "sheet", "--t", "5e-324"],
+        ["noise", "--kind", "sheet", "--half-width", "5e-324"],
+        ["simulate", "--fit", "--t", "0.5,1,2", "--replicas", "100"],
     ], ids=["certificate-n-max", "certificate-replicas", "certificate-m", "gbm-t",
             "pam-white-n-steps", "chaos-n", "gfbm-hurst-above", "gfbm-hurst-below",
-            "holder-time-lags"])
+            "holder-time-lags", "gbm-n-steps", "fbm-n-cells-half-width", "heat-beta",
+            "dalang-hurst", "pam-white-t-subnormal", "sheet-t-subnormal",
+            "sheet-half-width-subnormal", "fit-three-times"])
     def test_out_of_range_exits_2(self, tmp_path, capsys, argv):
         assert run(argv + ["--seed", "1", "--out", tmp_path / "out"]) == 2
         assert _last_json(capsys)["error"] in ("DomainError", "InputError")
         assert not list((tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "--model", "pam", "--b", "-1"],  # an endpoint value may be any float
+        ["chaos", "--model", "pam", "--t", "5e-324"],  # t / 4 underflows, the series does not
+    ], ids=["pam-b", "pam-t-subnormal"])
+    def test_edge_values_in_domain_exit_0(self, tmp_path, argv):
+        assert run(argv + ["--seed", "1", "--out", tmp_path]) == 0
+        for artifact in tmp_path.glob("*.json"):
+            _strict_json(artifact)
+
+    def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch):
+        def allocate(cfg, out, threads=1):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setitem(cli._RUNNERS, "noise", allocate)
+        assert run(["noise", "--kind", "bm", "--out", tmp_path]) == 3
+        assert _last_json(capsys) == {"error": "MemoryError",
+                                      "message": "Unable to allocate 7.28 TiB"}
+        assert not list(tmp_path.glob("*"))
 
     @pytest.mark.parametrize("argv", [
         ["chaos", "--model", "pam", "--t", "5000"],
@@ -464,7 +497,7 @@ def _json_kind(value):
 
 @pytest.fixture(scope="module")
 def written_configs(tmp_path_factory):
-    """config.json files written by five cheap runs, by run name."""
+    """config.json files written by cheap runs of all seven subcommands, by run name."""
     root = tmp_path_factory.mktemp("configs")
     runs = {
         "check": ["check", "--op", "heat", "--alpha", "1.0", "--hurst", "0.75"],
@@ -473,6 +506,14 @@ def written_configs(tmp_path_factory):
                      "--replicas", "200"],
         "certificate": ["certificate", "--replicas", "200", "--n-max", "5"],
         "pam-white": ["simulate", "--model", "pam-white", "--n-steps", "4", "--replicas", "20"],
+        "fk": ["fk", "--hurst", "0.7", "--alpha", "0.5", "--replicas", "64", "--n-quad", "16"],
+        "holder": ["holder", "--n-steps", "64", "--n-cells", "64", "--replicas", "8",
+                   "--time-lags", "2,4,8", "--space-lags", "2,4,8"],
+        "noise-bm": ["noise", "--kind", "bm", "--n-steps", "16"],
+        "noise-fbm": ["noise", "--kind", "fbm", "--hurst", "0.7", "--n-steps", "16"],
+        "noise-sheet": ["noise", "--kind", "sheet", "--n-steps", "8", "--n-cells", "8"],
+        "noise-homogeneous": ["noise", "--kind", "homogeneous", "--hurst", "0.7", "--alpha", "0.5",
+                              "--n-steps", "8", "--n-cells", "8"],
     }
     configs = {}
     for name, argv in runs.items():
@@ -509,7 +550,7 @@ def test_config_fuzz_exits_2_never_1(written_configs, data):
     root, configs = written_configs
     cfg = dict(configs[data.draw(st.sampled_from(sorted(configs)))])
     command = cfg["command"]
-    known = {a.dest for p in _subparsers(_build_parser()).values() for a in p._actions}
+    known = {name for options in cli._OPTIONS.values() for name in options}
     if data.draw(st.booleans()):
         key = data.draw(st.sampled_from(sorted(cfg)))
         kinds = sorted(set(_WRONG_TYPED) - {_json_kind(cfg[key])})
@@ -528,18 +569,35 @@ def test_config_fuzz_exits_2_never_1(written_configs, data):
     assert not (root / "fuzz-out").exists()
 
 
-@settings(max_examples=60, deadline=None)
+def _edge_values(domain, integer):
+    """0, -1 and -0.5, and each end of ``domain`` with its nearest neighbours
+    (1/2 for "in (1/2, 1)" gives 1/2-, 1/2 and 1/2+; an integer end e gives e-1,
+    e and e+1)."""
+    values = [0, -1, -0.5]
+    for text in re.findall(r"\d+(?:/\d+)?", domain or ""):
+        end = Fraction(text)
+        if integer:
+            values += [int(end) - 1, int(end), int(end) + 1]
+        else:
+            end = float(end)
+            values += [math.nextafter(end, -math.inf), end, math.nextafter(end, math.inf)]
+    return values
+
+
+@settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_config_edge_values_exit_0_2_or_3(written_configs, data):
-    """One numeric key of a written config set to 0, -1 or -0.5 (a list to
-    that one value): the re-run exits 0, 2 or 3, never 1, and on exit 0 every
-    JSON artifact is strict JSON."""
+    """One numeric key of a written config set to 0, -1, -0.5 or a value at an
+    end of its option's domain (a list to that one value): the re-run exits 0,
+    2 or 3, never 1, and on exit 0 every JSON artifact is strict JSON."""
     root, configs = written_configs
     name = data.draw(st.sampled_from(sorted(configs)))
     cfg = dict(configs[name])
     key = data.draw(st.sampled_from(
         sorted(k for k, v in cfg.items() if _json_kind(v) in ("number", "list"))))
-    value = data.draw(st.sampled_from([0, -1, -0.5]))
+    sample = cfg[key][0] if isinstance(cfg[key], list) else cfg[key]
+    domain = cli._OPTIONS[cfg["command"]][key].domain
+    value = data.draw(st.sampled_from(_edge_values(domain, isinstance(sample, int))))
     cfg[key] = [value] if isinstance(cfg[key], list) else value
     path = root / f"edge-{name}.json"
     path.write_text(json.dumps(cfg))

@@ -13,7 +13,7 @@ from spde_lab.conditions import (
     general_joint_condition,
     predicted_holder,
 )
-from spde_lab.errors import CapabilityError, DomainError, InputError
+from spde_lab.errors import CapabilityError, DomainError, InputError, NumericalError
 from spde_lab.kernels import OperatorSpec, g_squared_integral
 from spde_lab.rng import RngStream
 
@@ -36,6 +36,16 @@ class TestClosedFormChecks:
         assert not check_fractional("wave", 2.5, 0.7, 3).satisfied  # 2.5 >= 2.4
         with pytest.raises(DomainError):
             check_fractional("heat", 1.0, 0.4, 3)
+
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-310])
+    def test_estimate_beyond_float_range_raises(self, alpha):
+        # Gamma(alpha/2) ~ 2/alpha: alpha/2 underflows to 0 at the smallest
+        # float and the estimate overflows at 1e-310
+        with pytest.raises(NumericalError):
+            check_dalang_riesz(alpha, 2)
+        with pytest.raises(NumericalError):
+            check_fractional("heat", alpha, 0.7, 1)
+        assert check_dalang_riesz(1e-300, 2).integral_estimate == pytest.approx(1e300)
 
     def test_h_half_limit_matches_dalang(self):
         # as H -> 1/2 both conditions reduce to alpha < 2 (Riesz, alpha < d)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spde_lab import rng
-from spde_lab.errors import DomainError, InputError, SpdeLabError
+from spde_lab.errors import DomainError, InputError, NumericalError, SpdeLabError
 from spde_lab.field import Field, read_spdf, write_csv, write_spdf
 from spde_lab.grids import SpaceTimeGrid, TimeGrid
 from spde_lab.rng import RngStream, map_replica_blocks, replica_blocks, row_chunks
@@ -143,6 +143,21 @@ class TestGrids:
             SpaceTimeGrid(TimeGrid(1.0, 2), -1.0, 4)
         with pytest.raises(DomainError):
             SpaceTimeGrid(TimeGrid(1.0, 2), 1.0, 4, dim=4)
+
+    def test_cells_of_zero_width_rejected(self):
+        # a width that underflows to 0 would sample an all-zero noise
+        with pytest.raises(DomainError):
+            TimeGrid(5e-324, 4)
+        assert TimeGrid(2e-323, 4).dt == 5e-324
+        with pytest.raises(DomainError):
+            SpaceTimeGrid(TimeGrid(1.0, 4), 5e-324, 4)
+        with pytest.raises(DomainError):  # dt and dx positive, their product is not
+            SpaceTimeGrid(TimeGrid(1e-200, 1), 1e-200, 2)
+        with pytest.raises(DomainError):  # dx^2 underflows
+            SpaceTimeGrid(TimeGrid(1.0, 1), 1e-170, 2, dim=2)
+        with pytest.raises(NumericalError):  # dx^2 overflows a float power
+            SpaceTimeGrid(TimeGrid(1.0, 1), 1e200, 2, dim=2)
+        assert SpaceTimeGrid(TimeGrid(1.0, 4), 1e308, 4).cell_volume == np.inf
 
 
 class TestFieldSerialization:

@@ -494,6 +494,15 @@ class TestPamChaos:
                 math.sqrt(t / math.pi), rel=1e-12
             )
 
+    def test_term_at_subnormal_t(self):
+        # t / 4 underflows to 0 at the smallest float, the order-1 term does not
+        t = 5e-324
+        assert pam_chaos_term_variance(1, t) == pytest.approx(
+            math.sqrt(t) / math.sqrt(math.pi), rel=1e-12
+        )
+        assert pam_chaos_term_variance(2, t) == 0.0
+        assert pam_chaos_series(t, 60).partial_sums[-1] == pytest.approx(1.0)
+
     def test_partial_sum_hits_closed_form(self):
         partial, closed = pam_second_moment(1.0, 60)
         assert closed == pytest.approx(
