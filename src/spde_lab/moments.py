@@ -9,6 +9,7 @@ geometric fractional model, whose moments grow like exp(p(p-1) t^(2H) / 2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -330,6 +331,10 @@ def holder_estimate(
     slope of log ||increment||_p against log(lag * spacing). Lag 1 is
     excluded by default (dominated by discretization noise).
     """
+    if not (np.isfinite(p) and p >= 1):
+        raise DomainError(f"moment order must be finite and >= 1, got {p}")
+    if not (np.isfinite(spacing) and spacing > 0):
+        raise DomainError(f"spacing must be finite and positive, got {spacing}")
     u = np.asarray(fields, dtype=float)
     if u.ndim != 3:
         raise InputError(f"fields must be (replicas, n_time, n_space), got {u.shape}")
@@ -343,26 +348,43 @@ def holder_estimate(
             f"need at least 3 usable lag scales on an axis of length {n_axis}, "
             f"got {usable}"
         )
+    with np.errstate(over="ignore"):  # checked next
+        lag_spacings = np.asarray(usable, dtype=float) * spacing
+    if not np.all(np.isfinite(lag_spacings)):
+        raise DomainError(f"lag spacings overflow float64 at spacing {spacing}")
+    # every lag's increments go into a contiguous prefix of one buffer: a
+    # strided view would change the pairwise order, and the bits, of np.mean
+    buf = np.empty(u.size)
     norms = []
     for m in usable:
-        if axis == "space" and periodic_space:
-            inc = np.roll(u, -m, axis=2) - u
-        else:
-            take_hi = np.take(u, np.arange(m, n_axis), axis=ax)
-            take_lo = np.take(u, np.arange(0, n_axis - m), axis=ax)
-            inc = take_hi - take_lo
-        moment = np.mean(np.abs(inc) ** p)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            if axis == "space" and periodic_space:
+                inc = buf.reshape(u.shape)
+                np.subtract(u[:, :, m:], u[:, :, :-m], out=inc[:, :, :-m])
+                np.subtract(u[:, :, :m], u[:, :, -m:], out=inc[:, :, -m:])
+            else:
+                shape = list(u.shape)
+                shape[ax] -= m
+                inc = buf[: math.prod(shape)].reshape(shape)
+                hi = u[:, m:] if ax == 1 else u[:, :, m:]
+                lo = u[:, :-m] if ax == 1 else u[:, :, :-m]
+                np.subtract(hi, lo, out=inc)
+            np.abs(inc, out=inc)
+            inc **= p  # the in-place form of ``inc ** p``, with the same fast paths
+            moment = np.mean(inc)
+        if not np.isfinite(moment):
+            raise NumericalError(f"increment moment of order {p} at lag {m} is not finite")
         if moment <= 0.0:
             raise InputError("increments vanish; the exponent is undefined")
         norms.append(moment ** (1.0 / p))
     norms = np.asarray(norms)
-    xs = np.log(np.asarray(usable, dtype=float) * spacing)
+    xs = np.log(lag_spacings)
     design = np.column_stack([xs, np.ones_like(xs)])
     coef, *_ = np.linalg.lstsq(design, np.log(norms), rcond=None)
     return HolderFit(
         exponent=float(coef[0]),
         lags=tuple(usable),
-        lag_spacings=np.asarray(usable, dtype=float) * spacing,
+        lag_spacings=lag_spacings,
         norms=norms,
         p=p,
         axis=axis,

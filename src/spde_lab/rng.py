@@ -71,12 +71,13 @@ def replica_blocks(
 ):
     """Yield ``(start, fn(generator, count))`` for each replica block, in block order.
 
-    Block b uses the derived stream ``stream.substream(b)``; ``fn`` must
-    return an array whose leading dimension is ``count``. The order does not
-    depend on the thread count, so a consumer that reduces blocks as they
-    arrive stays bit-identical. With a pool of ``workers`` threads at most
-    ``workers + 1`` blocks are submitted ahead of the consumer, so a slow
-    consumer holds a few finished blocks, never all of them.
+    Block b uses the derived stream ``stream.substream(b)``; whatever ``fn``
+    returns is yielded as it is, be it a block of per-replica rows or a
+    block's partial sum. The order does not depend on the thread count, so a
+    consumer that reduces blocks as they arrive stays bit-identical. With a
+    pool of ``workers`` threads at most ``workers + 1`` blocks are submitted
+    ahead of the consumer, so a slow consumer holds a few finished blocks,
+    never all of them.
     """
     if n_replicas <= 0:
         raise InputError("n_replicas must be positive")
@@ -85,13 +86,8 @@ def replica_blocks(
     starts = range(0, n_replicas, block_size)
     counts = [min(block_size, n_replicas - start) for start in starts]
 
-    def run_block(b: int) -> np.ndarray:
-        out = np.asarray(fn(stream.substream(b).generator(), counts[b]))
-        if out.shape[0] != counts[b]:
-            raise InputError(
-                f"replica fn returned leading dim {out.shape[0]}, expected {counts[b]}"
-            )
-        return out
+    def run_block(b: int):
+        return fn(stream.substream(b).generator(), counts[b])
 
     # more workers than blocks or cores only adds blocks in flight
     workers = min(threads, len(counts), os.cpu_count() or 1)
@@ -120,12 +116,19 @@ def map_replica_blocks(
 ) -> np.ndarray:
     """Evaluate ``fn(generator, count)`` over replica blocks, deterministically.
 
-    The blocks of ``replica_blocks`` are copied in block order into one
-    array allocated from the first block's shape and dtype, so the output is
-    bit-identical for any thread count (the ordered-reduction contract).
+    ``fn`` must return an array whose leading dimension is ``count``, one row
+    per replica. The blocks of ``replica_blocks`` are copied in block order
+    into one array allocated from the first block's shape and dtype, so the
+    output is bit-identical for any thread count (the ordered-reduction
+    contract).
     """
     result = None
     for start, block in replica_blocks(n_replicas, fn, stream, block_size, threads):
+        block = np.asarray(block)
+        count = min(block_size, n_replicas - start)
+        lead = block.shape[0] if block.ndim else None
+        if lead != count:
+            raise InputError(f"replica fn returned leading dim {lead}, expected {count}")
         if result is None:
             result = np.empty((n_replicas,) + block.shape[1:], dtype=block.dtype)
         elif block.shape[1:] != result.shape[1:]:
@@ -133,5 +136,5 @@ def map_replica_blocks(
                 f"replica fn returned trailing shape {block.shape[1:]}, "
                 f"expected {result.shape[1:]}"
             )
-        result[start : start + block.shape[0]] = block
+        result[start : start + count] = block
     return result

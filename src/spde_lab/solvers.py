@@ -162,36 +162,51 @@ def _picard_trace(
 
     one noise array of shape ``cells`` (time first) times ``scale`` per
     replica; ``causal_sum`` maps (R, nt, ...) integrands to (R, nt+1, ...)
-    node values. Blocks are reduced as they arrive: squared successive
-    differences are added to one running sum replica by replica, the order
-    a mean over the replica axis adds them in.
+    node values. Each replica block takes its replicas in ``rng.row_chunks``
+    chunks through all ``n_iter`` iterations, drawing each chunk's noise in
+    order from the block's generator, and adds every replica's squared
+    successive differences, in replica order, into a block-local
+    (n_iter, nodes) sum. It returns that sum with its first replica's final
+    path, and the block sums are added in block order as they arrive. The
+    blocks are fixed by ``block_size``, so the result does not depend on the
+    thread count, and no per-replica array outlives a chunk.
     """
     if n_iter < 1:
         raise InputError(f"n_iter must be >= 1, got {n_iter}")
     nodes = (cells[0] + 1,) + cells[1:]
 
     def block(gen, count):
-        noise = gen.standard_normal((count,) + cells)
-        noise *= scale
-        # rows 0..n_iter-1: squared successive differences; row n_iter: final path
-        out = np.empty((count, n_iter + 1) + nodes)
-        u_prev = np.zeros((count,) + nodes)
-        for m in range(n_iter):
-            u_next = causal_sum(np.asarray(sigma(u_prev[:, :-1])) * noise)
-            u_next += initial
-            np.subtract(u_next, u_prev, out=out[:, m])
-            np.square(out[:, m], out=out[:, m])
-            u_prev = u_next
-        out[:, n_iter] = u_prev
-        return out
+        sq_sum = np.zeros((n_iter,) + nodes)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked after the reduction
+            # a chunk's noise, integrand and two iterates stay near rng.CHUNK_BYTES
+            for lo, hi in row_chunks(count, 4 * 8 * math.prod(nodes)):
+                noise = gen.standard_normal((hi - lo,) + cells)
+                noise *= scale
+                u_prev = np.zeros((hi - lo,) + nodes)
+                for m in range(n_iter):
+                    u_next = causal_sum(np.asarray(sigma(u_prev[:, :-1])) * noise)
+                    u_next += initial
+                    # fl(a - b) = -fl(b - a), so the square is that of u_next - u_prev
+                    np.subtract(u_prev, u_next, out=u_prev)
+                    np.square(u_prev, out=u_prev)
+                    for sq in u_prev:
+                        sq_sum[m] += sq
+                    u_prev = u_next
+                if lo == 0:
+                    first = u_prev[0].copy()
+        return sq_sum, first
 
     sq_sum = np.zeros((n_iter,) + nodes)
-    for start, out in replica_blocks(replicas, block, rng, block_size, threads):
+    for start, (block_sum, first) in replica_blocks(replicas, block, rng, block_size, threads):
         if start == 0:
-            final = out[0, n_iter].copy()
-        for sq in out[:, :n_iter]:
-            sq_sum += sq
+            final = first
+        sq_sum += block_sum
     diffs = (sq_sum / replicas).reshape(n_iter, -1).max(axis=1)
+    if not np.all(np.isfinite(diffs)):
+        raise NumericalError(
+            f"squared successive differences are not finite: {diffs.tolist()}; "
+            "sigma or the initial value overflows float64"
+        )
     return PicardTrace(diffs, n_iter, replicas, final_sample=final)
 
 
@@ -434,9 +449,13 @@ def linear_heat_node_samples(
     scale = math.sqrt(grid.cell_volume)
 
     def block(gen, count):
-        w = gen.standard_normal((count, nt, nx))
-        w *= scale
-        return kernels.convolve(w, nodes)
+        # one chunk of sheets at a time, drawn in order from the block's generator
+        out = np.empty((count, nodes.size, nx))
+        for lo, hi in row_chunks(count, 8 * nt * nx):
+            w = gen.standard_normal((hi - lo, nt, nx))
+            w *= scale
+            out[lo:hi] = kernels.convolve(w, nodes)
+        return out
 
     return map_replica_blocks(replicas, block, rng, block_size, threads)
 

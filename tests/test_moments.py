@@ -345,7 +345,64 @@ class TestFkSecondMoment:
             assert peak < bound * whole, d
 
 
+def old_holder_estimate(fields, spacing, axis, p, lags, periodic_space):
+    """holder_estimate's increments as they were, by np.take and np.roll copies; the oracle."""
+    u = np.asarray(fields, dtype=float)
+    ax = 1 if axis == "time" else 2
+    n_axis = u.shape[ax]
+    usable = [m for m in lags if 0 < m and (m < n_axis if not periodic_space else m <= n_axis // 2)]
+    norms = []
+    for m in usable:
+        if axis == "space" and periodic_space:
+            inc = np.roll(u, -m, axis=2) - u
+        else:
+            take_hi = np.take(u, np.arange(m, n_axis), axis=ax)
+            take_lo = np.take(u, np.arange(0, n_axis - m), axis=ax)
+            inc = take_hi - take_lo
+        norms.append(np.mean(np.abs(inc) ** p) ** (1.0 / p))
+    norms = np.asarray(norms)
+    xs = np.log(np.asarray(usable, dtype=float) * spacing)
+    design = np.column_stack([xs, np.ones_like(xs)])
+    coef, *_ = np.linalg.lstsq(design, np.log(norms), rcond=None)
+    return float(coef[0]), norms
+
+
 class TestHolderEstimate:
+    @pytest.mark.parametrize("p", [1, 2, 3.5])
+    @pytest.mark.parametrize(
+        "axis, periodic", [("time", False), ("space", False), ("space", True), ("time", True)]
+    )
+    def test_bit_identical_to_take_and_roll(self, p, axis, periodic):
+        fields = np.random.default_rng(7).standard_normal((5, 41, 33)).cumsum(axis=1).cumsum(axis=2)
+        fit = holder_estimate(fields, 0.01, axis, p, (2, 4, 8, 16), periodic_space=periodic)
+        exponent, norms = old_holder_estimate(fields, 0.01, axis, p, (2, 4, 8, 16), periodic)
+        assert fit.exponent == exponent
+        assert fit.norms.tobytes() == norms.tobytes()
+
+    @pytest.mark.parametrize("p", [0, -1, 0.5, np.nan, np.inf])
+    def test_moment_order_outside_domain(self, p):
+        # p = 0 would divide by zero, and below 1 the moment is no norm
+        fields = np.random.default_rng(1).standard_normal((2, 33, 8))
+        with pytest.raises(DomainError, match="moment order"):
+            holder_estimate(fields, 0.1, axis="time", p=p, lags=(2, 4, 8))
+
+    @pytest.mark.parametrize("spacing", [0.0, -0.1, np.nan, np.inf, 1e308])
+    def test_spacing_outside_domain(self, spacing, capfd):
+        # spacing <= 0 must not reach LAPACK, which prints to stderr; at 1e308
+        # the lag spacings overflow
+        fields = np.random.default_rng(2).standard_normal((2, 33, 8))
+        with pytest.raises(DomainError, match="spacing"):
+            holder_estimate(fields, spacing, axis="time", lags=(2, 4, 8))
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e200])
+    def test_non_finite_increment_moment(self, bad):
+        # inf and nan give nan moments; 1e200 overflows |increment|^2
+        fields = np.random.default_rng(3).standard_normal((2, 33, 8))
+        fields[1, 20, 5] = bad
+        with pytest.raises(NumericalError, match="not finite"):
+            holder_estimate(fields, 0.1, axis="time", lags=(2, 4, 8))
+
     def test_linear_deterministic_field(self):
         # u(t, x) = t has exact time exponent 1
         t = np.linspace(0, 1, 65)

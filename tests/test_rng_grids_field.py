@@ -51,6 +51,16 @@ class TestRngStream:
                 5, lambda g, n: np.zeros((n, n)), RngStream(1), block_size=3
             )
 
+    def test_map_blocks_rejects_wrong_leading_dim(self):
+        with pytest.raises(InputError, match="leading dim 3, expected 2"):
+            map_replica_blocks(5, lambda g, n: np.zeros(n + 1), RngStream(1), block_size=2)
+        with pytest.raises(InputError, match="leading dim None"):
+            map_replica_blocks(5, lambda g, n: 0.0, RngStream(1), block_size=2)
+
+    def test_replica_blocks_yield_what_fn_returns(self):
+        out = list(replica_blocks(5, lambda g, n: (n, "sum"), RngStream(1), block_size=2))
+        assert out == [(0, (2, "sum")), (2, (2, "sum")), (4, (1, "sum"))]
+
     @pytest.mark.parametrize("cpus, expected", [(2, [2]), (8, [3]), (None, [])])
     def test_pool_clamped_to_blocks_and_cpus(self, monkeypatch, cpus, expected):
         recorded = []

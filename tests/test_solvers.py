@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spde_lab import rng, solvers
-from spde_lab.errors import CapabilityError, DomainError, InputError
+from spde_lab.errors import CapabilityError, DomainError, InputError, NumericalError
 from spde_lab.field import Field
 from spde_lab.grids import SpaceTimeGrid, TimeGrid
 from spde_lab.kernels import heat_kernel
@@ -79,8 +79,24 @@ class TestItoSum:
         assert rms[1] / rms[2] >= 1.3
 
 
+def block_order_mean(rows: np.ndarray, block_size: int) -> np.ndarray:
+    """Mean over the replica axis in the Picard reduction order.
+
+    Rows are added one by one within each block of ``block_size`` replicas,
+    then the block sums are added in block order.
+    """
+    total = np.zeros(rows.shape[1:])
+    for start in range(0, rows.shape[0], block_size):
+        part = np.zeros(rows.shape[1:])
+        for row in rows[start : start + block_size]:
+            part += row
+        total += part
+    return total / rows.shape[0]
+
+
 def old_sde_picard(sigma, grid, rng, n_iter, replicas, initial, block_size, threads):
-    """The SDE Picard driver as it was before the shared loop; the oracle."""
+    """The SDE Picard scheme as it was before the shared loop, reduced in
+    block order; the oracle."""
 
     def block(gen, count):
         db = gen.standard_normal((count, grid.n_steps)) * math.sqrt(grid.dt)
@@ -94,11 +110,13 @@ def old_sde_picard(sigma, grid, rng, n_iter, replicas, initial, block_size, thre
         return np.concatenate([sq_sums, x_prev[:, None, :]], axis=1)
 
     out = map_replica_blocks(replicas, block, rng, block_size, threads)
-    return out[:, :n_iter, :].mean(axis=0).max(axis=1), out[0, n_iter, :]
+    mean = block_order_mean(out[:, :n_iter, :], block_size)
+    return mean.max(axis=1), out[0, n_iter, :]
 
 
 def old_heat_picard(sigma, grid, rng, n_iter, replicas, initial, block_size, threads):
-    """The heat Picard driver as it was before the shared loop; the oracle."""
+    """The heat Picard scheme as it was before the shared loop, reduced in
+    block order; the oracle."""
     kernels = solvers._LinearHeatKernels(grid)
     nt, nx = grid.time.n_steps, grid.n_cells
     nodes = np.arange(nt + 1)
@@ -120,7 +138,8 @@ def old_heat_picard(sigma, grid, rng, n_iter, replicas, initial, block_size, thr
         return out
 
     out = map_replica_blocks(replicas, block, rng, block_size, threads)
-    return out[:, :n_iter].mean(axis=0).reshape(n_iter, -1).max(axis=1), out[0, n_iter]
+    mean = block_order_mean(out[:, :n_iter], block_size)
+    return mean.reshape(n_iter, -1).max(axis=1), out[0, n_iter]
 
 
 ORACLE_SIGMAS = [
@@ -128,6 +147,12 @@ ORACLE_SIGMAS = [
     pytest.param(LipschitzFn.bounded_smooth("sin"), id="sin"),
     pytest.param(LipschitzFn.affine(0.5, 0.3), id="affine"),
 ]
+
+
+# two threads hold a few blocks' chunks and sums: 7.6 MB at each case below;
+# per-replica squared differences peaked at 14.5 MB (2000 replicas, 4
+# iterations) and 20.3 MB (8 iterations)
+PICARD_PEAK_BOUND = 10 * 2**20
 
 
 class TestPicardOracles:
@@ -165,6 +190,22 @@ class TestPicardOracles:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * full_bytes
+
+    @pytest.mark.parametrize("replicas, n_iter", [(2000, 4), (4000, 4), (2000, 8)])
+    def test_peak_does_not_grow_with_replicas_or_iterations(self, replicas, n_iter):
+        # blocks return (n_iter, 17, 32) sums, so one bound holds whatever
+        # the replica count and the number of iterations
+        grid = SpaceTimeGrid(TimeGrid(0.25, 16), 2.0, 32)
+        tracemalloc.start()
+        try:
+            solve_nonlinear_heat_picard(
+                LipschitzFn.identity(), grid, RngStream(43), n_iter, replicas,
+                initial=1.0, block_size=100, threads=2,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < PICARD_PEAK_BOUND
 
 
 class TestSdePicard:
@@ -218,6 +259,14 @@ class TestSdePicard:
             PicardTrace(np.array([1.0, -0.5]), 2, 4)
         with pytest.raises(InputError):
             PicardTrace(np.array([np.inf]), 1, 4)
+
+    def test_overflowing_sigma_raises_numerical_error(self):
+        # u_1 = 1e200, so the first squared difference overflows
+        with pytest.raises(NumericalError, match="not finite"):
+            solve_sde_picard(
+                LipschitzFn.affine(1e200, 0), TimeGrid(0.5, 16), RngStream(4), 3, 8,
+                initial=1e200,
+            )
 
 
 class TestGeometricSolutions:
@@ -298,6 +347,19 @@ def replica_sheets(grid: SpaceTimeGrid, seed: int, replicas: int, block_size: in
     return np.concatenate(sheets) * math.sqrt(grid.cell_volume)
 
 
+def old_node_samples(grid, nodes, replicas, rng, block_size, threads):
+    """The node sampler as it was before per-chunk draws, one draw per block; the oracle."""
+    kernels = solvers._LinearHeatKernels(grid)
+    scale = math.sqrt(grid.cell_volume)
+
+    def block(gen, count):
+        w = gen.standard_normal((count, grid.time.n_steps, grid.n_cells))
+        w *= scale
+        return kernels.convolve(w, nodes)
+
+    return map_replica_blocks(replicas, block, rng, block_size, threads)
+
+
 CORE_GRIDS = [
     pytest.param(SpaceTimeGrid(TimeGrid(0.25, 16), 4.0, 24), id="nx24"),
     pytest.param(SpaceTimeGrid(TimeGrid(0.25, 16), 4.0, 40), id="nx40"),
@@ -339,6 +401,28 @@ class TestLinearHeat:
             for t in (1, 2)
         )
         assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_node_samples_bit_identical_to_whole_block_draws(self, threads):
+        # 512 kB sheets make two-row chunks; 11 replicas in blocks of 5 run the
+        # lone-row merge ([0, 2), [2, 5)) and a one-replica last block
+        grid = SpaceTimeGrid(TimeGrid(0.25, 256), 4.0, 256)
+        nodes = np.arange(100, 229, 4)
+        x = linear_heat_node_samples(grid, nodes, 11, RngStream(15), 5, threads)
+        ref = old_node_samples(grid, nodes, 11, RngStream(15), 5, threads)
+        assert x.tobytes() == ref.tobytes()
+
+    def test_node_samples_peak_below_half_a_block(self):
+        # one block of 64 sheets is 32 MB of noise, which a whole-block draw holds at once
+        grid = SpaceTimeGrid(TimeGrid(0.25, 256), 4.0, 256)
+        block_noise = 64 * 256 * 256 * 8
+        tracemalloc.start()
+        try:
+            linear_heat_node_samples(grid, np.arange(192, 225), 64, RngStream(16), 64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * block_noise
 
     def test_point_weights_match_solver(self):
         grid = self._grid()
@@ -468,6 +552,14 @@ class TestNonlinearHeatPicard:
         )
         assert a.sup_sq_diffs.tobytes() == b.sup_sq_diffs.tobytes()
         assert a.final_sample.tobytes() == b.final_sample.tobytes()
+
+    def test_overflowing_sigma_raises_numerical_error(self):
+        grid = SpaceTimeGrid(TimeGrid(0.25, 8), 2.0, 16)
+        with pytest.raises(NumericalError, match="not finite"):
+            solve_nonlinear_heat_picard(
+                LipschitzFn.affine(1e200, 0), grid, RngStream(24), 3, 10, initial=1e200,
+                block_size=3, threads=2,
+            )
 
     def test_multiplicative_decay(self):
         # spatial step must resolve sqrt(dt/2) or the squared one-step kernel
