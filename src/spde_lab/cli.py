@@ -161,12 +161,27 @@ def _resolve_threads(value) -> int:
 # ---------------------------------------------------------------------------
 
 
+_PAM_BLOCK = 64  # pam-white replicas per block
+
+
 def _auto_pam_grid(t: float, n_steps: int, half_width: float | None) -> SpaceTimeGrid:
     time = TimeGrid(t, n_steps)
     half = 8.0 * math.sqrt(t) if half_width is None else half_width
-    n_cells = int(np.ceil(2 * half / (0.8 * math.sqrt(time.dt))))
+    cells = 2 * half / (0.8 * math.sqrt(time.dt))
+    # a block's noise array must stay within numpy's largest array, sys.maxsize bytes
+    if not cells * n_steps * _PAM_BLOCK * 8 < sys.maxsize:
+        raise NumericalError(f"--half-width {half} needs {cells:.3g} cells, beyond any array")
+    n_cells = int(np.ceil(cells))
     n_cells += n_cells % 2
     return SpaceTimeGrid(time, half, n_cells)
+
+
+def _fbm_variance(t: float, hurst: float) -> float:
+    """t^(2H), the variance of fBm at t; NumericalError when it overflows."""
+    try:
+        return t ** (2 * hurst)
+    except OverflowError:
+        raise NumericalError(f"the fBm variance t^(2H) overflows at t={t}, H={hurst}") from None
 
 
 def run_simulate(cfg: dict, out: Path, threads: int = 1) -> None:
@@ -182,7 +197,7 @@ def run_simulate(cfg: dict, out: Path, threads: int = 1) -> None:
             if model == "gbm":
                 scale, var = math.sqrt(t), t
             else:
-                scale, var = t ** cfg["hurst"], t ** (2 * cfg["hurst"])
+                scale, var = t ** cfg["hurst"], _fbm_variance(t, cfg["hurst"])
 
             def block(gen, count, scale=scale, var=var):
                 z = gen.standard_normal((count, 1)) * scale
@@ -199,7 +214,7 @@ def run_simulate(cfg: dict, out: Path, threads: int = 1) -> None:
                 return solve_pam_euler(grid, w)[:, mid]
 
             x = map_replica_blocks(
-                replicas, block, stream.substream(i << 32), block_size=64, threads=threads
+                replicas, block, stream.substream(i << 32), block_size=_PAM_BLOCK, threads=threads
             )
         rows.extend(estimate_moments(x, ps, model=model, t=t))
 
@@ -227,7 +242,7 @@ def run_chaos(cfg: dict, out: Path, threads: int = 1) -> None:
     else:  # gbm or gfbm
         kind = "bm" if cfg["model"] == "gbm" else "fbm"
         partials = chaos_geometric_partials(t, cfg["b"], n, kind, cfg.get("hurst"))
-        variance = t if kind == "bm" else t ** (2 * cfg["hurst"])
+        variance = t if kind == "bm" else _fbm_variance(t, cfg["hurst"])
         try:
             closed = math.exp(cfg["b"] - variance / 2.0)
         except OverflowError:

@@ -7,9 +7,11 @@ the form
 
 with kappa = 1 (Dalang), kappa = 2H (heat, fractional time) and
 kappa = H + 1/2 (wave, fractional time). For radial measures
-mu(d xi) = c |xi|^beta d xi this reduces to a one-dimensional integral whose
-finiteness is decided analytically from the tail exponent; quadrature only
-ever certifies the value of a convergent integral, never divergence.
+mu(d xi) = c |xi|^beta d xi this reduces to a one-dimensional Beta integral
+B(a, kappa) = int_0^inf r^(a-1) (1+r^2)^(-kappa) dr, finite iff 0 < a < 2 kappa:
+every closed-form verdict is decided and valued by that one rule. Quadrature
+(``dalang_integral_numeric``, the independent oracle) only ever certifies the
+value of a convergent integral, never divergence.
 
 Reported integral estimates are the radial profile integrals
 
@@ -18,7 +20,7 @@ Reported integral estimates are the radial profile integrals
 without the angular surface constant; closed-form and quadrature paths use
 the same convention so their values are directly comparable.
 
-scipy is imported inside the two quadrature routes only, so importing the
+scipy is imported inside the one quadrature route only, so importing the
 package (and every closed-form check) does not load it.
 """
 
@@ -99,15 +101,19 @@ def _beta_integral(a: float, kappa: float) -> float:
         raise NumericalError(f"the integral overflows at a={a}, kappa={kappa}") from None
 
 
+def _beta_verdict(a: float, kappa: float, params: dict, scale: float = 1.0) -> ConditionVerdict:
+    """The closed-form verdict rule: divergent unless a < 2 kappa, else
+    scale * B(a, kappa). Callers check a > 0, the Beta integral's other end."""
+    if not a < 2.0 * kappa:
+        return ConditionVerdict(False, None, CLOSED_FORM, params, divergent=True)
+    return ConditionVerdict(True, scale * _beta_integral(a, kappa), CLOSED_FORM, params)
+
+
 def check_dalang_riesz(alpha: float, d: int) -> ConditionVerdict:
     """Dalang's condition for the Riesz kernel: satisfied iff alpha < min(d, 2)."""
     if not 0.0 < alpha < d:
         raise DomainError(f"Riesz kernel needs alpha in (0, d)=(0,{d}), got {alpha}")
-    satisfied = alpha < min(d, 2)
-    params = {"alpha": alpha, "d": d, "kappa": 1.0}
-    if not satisfied:
-        return ConditionVerdict(False, None, CLOSED_FORM, params, divergent=True)
-    return ConditionVerdict(True, _beta_integral(alpha, 1.0), CLOSED_FORM, params)
+    return _beta_verdict(alpha, 1.0, {"alpha": alpha, "d": d, "kappa": 1.0})
 
 
 def check_fractional(op_kind: str, alpha: float, hurst: float, d: int) -> ConditionVerdict:
@@ -123,11 +129,8 @@ def check_fractional(op_kind: str, alpha: float, hurst: float, d: int) -> Condit
     if not 0.0 < alpha < d:
         raise DomainError(f"Riesz kernel needs alpha in (0, d)=(0,{d}), got {alpha}")
     kappa = 2.0 * hurst if op_kind == HEAT else hurst + 0.5
-    satisfied = alpha < 2.0 * kappa
     params = {"op": op_kind, "alpha": alpha, "hurst": hurst, "d": d, "kappa": kappa}
-    if not satisfied:
-        return ConditionVerdict(False, None, CLOSED_FORM, params, divergent=True)
-    return ConditionVerdict(True, _beta_integral(alpha, kappa), CLOSED_FORM, params)
+    return _beta_verdict(alpha, kappa, params)
 
 
 def dalang_integral_numeric(
@@ -173,74 +176,28 @@ def general_joint_condition(
 
     heat: double integral of 1 / (1 + tau^2 + |xi|^4),
     wave: (1 + |xi|^2)^(-1/2) * 1 / (1 + tau^2 + |xi|^2),
-    both against nu (x) mu. Divergence is classified analytically; values
-    come from iterated adaptive quadrature.
+    both against nu (x) mu, in closed form. With b = beta_t and a = d + beta_s,
+    rescaling tau = sqrt(1 + m^2) sigma (m^2 = r^4 heat, r^2 wave) factors the
+    time integral into (1 + m^2)^((b - 1)/2) J, J = 2 B(b + 1, 1); the radial
+    integral is then B(a/2, (1 - b)/2) / 2 (heat) or B(a, (2 - b)/2) (wave),
+    B as in ``_beta_integral``. It diverges unless -1 < b < 1 and the radial
+    Beta integral converges.
     """
-    from scipy import integrate
-
     if op_kind not in (HEAT, WAVE):
         raise DomainError(f"operator kind must be 'heat' or 'wave', got {op_kind!r}")
-    bt = nu.exponent
-    bs = mu.exponent
-    if not -1.0 < bt < 1.0:
-        return ConditionVerdict(
-            False, None, QUADRATURE, {"op": op_kind, "beta_t": bt, "beta_s": bs, "d": d},
-            divergent=True,
-        )
-    if d + bs <= 0.0:
-        raise DomainError(
-            f"space measure density r^{bs} is not locally finite in d={d}"
-        )
-    # inner time integral behaves like (1 + m^2)^((beta_t - 1)/2); the outer
-    # tail exponent then reproduces the closed-form thresholds
-    if op_kind == HEAT:
-        tail_ok = d + bs < 2.0 * (1.0 - bt)
-    else:
-        tail_ok = d + bs < 2.0 - bt
+    bt, bs = nu.exponent, mu.exponent
     params = {"op": op_kind, "beta_t": bt, "beta_s": bs, "d": d}
-    if not tail_ok:
-        return ConditionVerdict(False, None, QUADRATURE, params, divergent=True)
-
-    # inner integral: int_R |tau|^bt / (1 + tau^2 + m^2) dtau. Rescaling
-    # tau = sqrt(1+m^2) sigma factors it into (1+m^2)^((bt-1)/2) * J with
-    # J = int_R |sigma|^bt / (1+sigma^2) dsigma, so J is quadratured once.
-    at = bt + 1.0  # sigma-weight exponent; sigma = v^(1/at) flattens [0,1]
-    j_head, _ = integrate.quad(
-        lambda v: 1.0 / at / (1.0 + v ** (2.0 / at)), 0.0, 1.0, epsabs=1e-12, epsrel=1e-12
-    )
-    j_tail, _ = integrate.quad(
-        lambda s: s**bt / (1.0 + s * s), 1.0, np.inf, epsabs=1e-12, epsrel=1e-12
-    )
-    j_value = 2.0 * (j_head + j_tail)
-
-    def inner(m2: float) -> float:
-        return nu.constant * (1.0 + m2) ** (0.5 * (bt - 1.0)) * j_value
-
-    a_out = d + bs
-
-    def smooth_part(r):
-        m2 = r**4 if op_kind == HEAT else r * r
-        w = 1.0 if op_kind == HEAT else (1.0 + r * r) ** -0.5
-        return mu.constant * w * inner(m2)
-
-    # substitute r = v^(1/a_out) on [0,1]: weight r^(a_out-1) dr becomes dv / a_out
-    head, _ = integrate.quad(
-        lambda v: smooth_part(v ** (1.0 / a_out)) / a_out,
-        0.0,
-        1.0,
-        epsabs=1e-9,
-        epsrel=1e-9,
-        limit=200,
-    )
-    tail, _ = integrate.quad(
-        lambda r: r ** (a_out - 1.0) * smooth_part(r),
-        1.0,
-        np.inf,
-        epsabs=1e-9,
-        epsrel=1e-9,
-        limit=200,
-    )
-    return ConditionVerdict(True, head + tail, QUADRATURE, params)
+    if not -1.0 < bt < 1.0:
+        return ConditionVerdict(False, None, CLOSED_FORM, params, divergent=True)
+    a = d + bs
+    if a <= 0.0:
+        raise DomainError(f"space measure density r^{bs} is not locally finite in d={d}")
+    # J = 2 B(b + 1, 1) = 2 B(1 - |b|, 1), as B(a, kappa) = B(2 kappa - a, kappa);
+    # 1 - |b| is exact next to |b| = 1, where b + 1 would round
+    scale = nu.constant * mu.constant * 2.0 * _beta_integral(1.0 - abs(bt), 1.0)
+    if op_kind == HEAT:
+        return _beta_verdict(a / 2.0, (1.0 - bt) / 2.0, params, scale / 2.0)
+    return _beta_verdict(a, (2.0 - bt) / 2.0, params, scale)
 
 
 def predicted_holder(
@@ -327,12 +284,14 @@ def dalang_gronwall_certificate(
     M: float = 1.0,
     n_max: int = 20,
     mc_replicas: int = 100_000,
-    rng=None,
+    *,
+    rng,
 ) -> GronwallCertificate:
     """Estimate a_n = G(T)^n P(S_n <= T) for n = 0..n_max by Monte Carlo.
 
     ``profile`` is an OperatorSpec (heat/wave, d=1) or a nonnegative float
     for the constant-kernel classical case, where a_n = (beta T)^n / n!.
+    ``rng`` (an RngStream or a numpy Generator) drives the draws.
     """
     if T <= 0:
         raise DomainError(f"T must be positive, got {T}")
@@ -345,9 +304,9 @@ def dalang_gronwall_certificate(
     g_total, inv_cdf = _profile_sampler(profile, T)
     if g_total == 0.0:
         raise InputError("degenerate profile: G(T) = 0")
-    gen = as_generator(rng) if rng is not None else np.random.default_rng(0)
-    u = gen.random((mc_replicas, n_max))
-    s = np.cumsum(inv_cdf(u), axis=1)
+    u = as_generator(rng).random((mc_replicas, n_max))
+    with np.errstate(over="ignore"):  # a sum beyond float range is beyond T too
+        s = np.cumsum(inv_cdf(u), axis=1)
     p_hat = np.empty(n_max + 1)
     p_err = np.empty(n_max + 1)
     p_hat[0], p_err[0] = 1.0, 0.0

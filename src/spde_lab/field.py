@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class Field:
 
     grid: SpaceTimeGrid
     values: np.ndarray
-    label: str = dc_field(default="field")
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)

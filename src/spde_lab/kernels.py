@@ -55,7 +55,8 @@ def heat_kernel(t: float, x, d: int = 1):
     if not t > 0:
         raise DomainError(f"heat kernel needs t > 0, got {t}")
     r = _norm(x, d)
-    return (2.0 * math.pi * t) ** (-d / 2.0) * np.exp(-(r * r) / (2.0 * t))
+    with np.errstate(over="ignore"):  # r^2 / 2t beyond float range: exp(-inf) = 0
+        return (2.0 * math.pi * t) ** (-d / 2.0) * np.exp(-(r * r) / (2.0 * t))
 
 
 def wave_kernel(t: float, x, d: int = 1):

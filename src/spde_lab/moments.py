@@ -26,6 +26,7 @@ from .grids import SpaceTimeGrid, TimeGrid
 from .kernels import HEAT, WAVE
 from .noise import NoiseSpec, time_factor_matrix
 from .rng import RngStream, map_replica_blocks, row_chunks
+from .solvers import linear_heat_node_samples
 
 # ---------------------------------------------------------------------------
 # moment reports
@@ -68,7 +69,8 @@ def jackknife_stderr(samples: np.ndarray) -> float:
 def estimate_moments(
     samples: np.ndarray, p_list, model: str = "", t: float = float("nan")
 ) -> list[MomentRow]:
-    """Sample means of |X|^p with jackknife standard errors, one row per p."""
+    """Sample means of |X|^p with jackknife standard errors, one row per p;
+    NumericalError when either is not finite."""
     x = np.abs(np.asarray(samples, dtype=float))
     if x.size == 0:
         raise InputError("cannot estimate moments from an empty sample")
@@ -76,10 +78,12 @@ def estimate_moments(
     for p in np.atleast_1d(p_list):
         if p < 1:
             raise DomainError(f"moment order must be >= 1, got {p}")
-        vals = x**p
-        rows.append(
-            MomentRow(model, t, float(p), float(vals.mean()), jackknife_stderr(vals), x.size)
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # checked next
+            vals = x**p
+            row = MomentRow(model, t, float(p), float(vals.mean()), jackknife_stderr(vals), x.size)
+        if not (math.isfinite(row.estimate) and math.isfinite(row.stderr)):
+            raise NumericalError(f"moment of order {p} at t={t} is not finite")
+        rows.append(row)
     return rows
 
 
@@ -329,7 +333,9 @@ def holder_estimate(
     along the chosen axis at each listed lag, averaged over replicas and
     over all admissible base points, and the exponent is the least-squares
     slope of log ||increment||_p against log(lag * spacing). Lag 1 is
-    excluded by default (dominated by discretization noise).
+    excluded by default (dominated by discretization noise). With
+    ``periodic_space`` space increments wrap around, at lags up to n_space / 2;
+    time increments never do.
     """
     if not (np.isfinite(p) and p >= 1):
         raise DomainError(f"moment order must be finite and >= 1, got {p}")
@@ -342,7 +348,8 @@ def holder_estimate(
         raise InputError(f"axis must be 'time' or 'space', got {axis!r}")
     ax = 1 if axis == "time" else 2
     n_axis = u.shape[ax]
-    usable = [m for m in lags if 0 < m and (m < n_axis if not periodic_space else m <= n_axis // 2)]
+    periodic = axis == "space" and periodic_space  # time increments are never periodic
+    usable = [m for m in lags if 0 < m and (m <= n_axis // 2 if periodic else m < n_axis)]
     if len(usable) < 3:
         raise InputError(
             f"need at least 3 usable lag scales on an axis of length {n_axis}, "
@@ -358,7 +365,7 @@ def holder_estimate(
     norms = []
     for m in usable:
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            if axis == "space" and periodic_space:
+            if periodic:
                 inc = buf.reshape(u.shape)
                 np.subtract(u[:, :, m:], u[:, :, :-m], out=inc[:, :, :-m])
                 np.subtract(u[:, :, :m], u[:, :, -m:], out=inc[:, :, -m:])
@@ -409,8 +416,6 @@ def linear_heat_holder_study(
     lag sees many base points, and fits both exponents on the ensemble.
     Returns the two fits plus the window metadata.
     """
-    from .solvers import linear_heat_node_samples  # local import, avoids a cycle
-
     if not time_lags or not space_lags:
         raise InputError(
             f"time and space lags must be non-empty, got time {time_lags}, space {space_lags}"

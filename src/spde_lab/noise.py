@@ -168,7 +168,7 @@ def sample_white_noise_sheet(grid: SpaceTimeGrid, rng) -> Field:
     """I.i.d. cell increments with variance dt * dx^d (Brownian-sheet masses)."""
     gen = as_generator(rng)
     vals = gen.standard_normal(grid.cell_shape()) * math.sqrt(grid.cell_volume)
-    return Field(grid, vals, label="white_noise")
+    return Field(grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +280,15 @@ def _power_law(kind: str, param: float | None) -> tuple[float, float]:
 
 def _corner_sum(law: tuple[float, float], a: float, b: float, c: float, d: float) -> float:
     """Double integral over [a,b] x [c,d] of the kernel with F = c |w|^p:
-    F(b-c) + F(a-d) - F(a-c) - F(b-d)."""
+    F(b-c) + F(a-d) - F(a-c) - F(b-d); NumericalError when it overflows."""
     coef, p = law
-    return coef * (abs(b - c) ** p + abs(a - d) ** p - abs(a - c) ** p - abs(b - d) ** p)
+    try:
+        total = coef * (abs(b - c) ** p + abs(a - d) ** p - abs(a - c) ** p - abs(b - d) ** p)
+    except OverflowError:  # float ** raises where float + float gives inf
+        total = math.inf
+    if not math.isfinite(total):
+        raise NumericalError(f"cell integral overflows on [{a}, {b}] x [{c}, {d}]")
+    return total
 
 
 def fractional_time_cell_integral(hurst: float, a: float, b: float, c: float, d: float) -> float:
@@ -384,13 +390,21 @@ def _power_law_row(law: tuple[float, float], h: float, n: int) -> np.ndarray:
     """Covariance of cell 0 with cells 0..n-1 of width h: at lag m the corner
     sum c h^p ((m+1)^p + |m-1|^p - 2 m^p). The bracket is 2 at lag 0 and
     2^p - 2 at lag 1; from lag 2 on it is written without its cancellation as
-    2 m^p (expm1(p/2 log1p(-1/m^2)) cosh(d) + 2 sinh(d/2)^2), d = p atanh(1/m)."""
+    2 m^p (expm1(p/2 log1p(-1/m^2)) cosh(d) + 2 sinh(d/2)^2), d = p atanh(1/m).
+    NumericalError when the row overflows."""
     coef, p = law
     m = np.arange(2, n, dtype=float)
     d = p * np.arctanh(1.0 / m)
     far = 2.0 * m**p * (np.expm1(0.5 * p * np.log1p(-1.0 / m**2)) * np.cosh(d)
                         + 2.0 * np.sinh(0.5 * d) ** 2)
-    return coef * h**p * np.concatenate([[2.0, 2.0**p - 2.0][:n], far])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        try:
+            row = coef * h**p * np.concatenate([[2.0, 2.0**p - 2.0][:n], far])
+        except OverflowError:  # float ** raises where numpy gives inf
+            row = np.array([math.inf])
+    if not np.all(np.isfinite(row)):
+        raise NumericalError(f"covariance row overflows at cell width {h}, power {p}")
+    return row
 
 
 def time_factor_matrix(tgrid: TimeGrid, tk: TimeKernel) -> np.ndarray:
@@ -455,7 +469,7 @@ class HomogeneousNoiseSampler:
         return w.reshape((n,) + self.grid.cell_shape())
 
     def sample(self, rng) -> Field:
-        return Field(self.grid, self.sample_batch(rng, 1)[0], label="homogeneous_noise")
+        return Field(self.grid, self.sample_batch(rng, 1)[0])
 
 
 def sample_homogeneous_noise(grid: SpaceTimeGrid, spec: NoiseSpec, rng) -> Field:

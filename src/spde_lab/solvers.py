@@ -300,6 +300,8 @@ def chaos_geometric(
 
 
 def _periodic_displacements(grid: SpaceTimeGrid) -> np.ndarray:
+    if not math.isfinite(grid.dx):
+        raise NumericalError(f"cell width 2 * {grid.half_width} / {grid.n_cells} overflows")
     n = grid.n_cells
     m = np.arange(n)
     return (((m + n // 2) % n) - n // 2) * grid.dx
@@ -378,7 +380,7 @@ def solve_linear_heat_1d(grid: SpaceTimeGrid, noise: Field) -> Field:
     kernels = _LinearHeatKernels(grid)
     nt = grid.time.n_steps
     u = kernels.convolve(noise.values[None], np.arange(nt + 1))[0]
-    return Field(grid, u, label="linear_heat")
+    return Field(grid, u)
 
 
 def linear_heat_point_weights(grid: SpaceTimeGrid, k: int, ix: int) -> np.ndarray:
@@ -590,8 +592,11 @@ def solve_pam_euler(grid: SpaceTimeGrid, noise: np.ndarray, initial: float = 1.0
         )
     step = _heat_step(grid)
     u = np.full((w.shape[0], grid.n_cells), float(initial))
-    for k in range(grid.time.n_steps):
-        u = step(u * (grid.dx + w[:, k]))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        for k in range(grid.time.n_steps):
+            u = step(u * (grid.dx + w[:, k]))
+    if not np.all(np.isfinite(u)):
+        raise NumericalError("mild Euler marching overflows")
     return u
 
 

@@ -452,7 +452,10 @@ class TestRangeChecks:
     @pytest.mark.parametrize("argv", [
         ["chaos", "--model", "pam", "--b", "-1"],  # an endpoint value may be any float
         ["chaos", "--model", "pam", "--t", "5e-324"],  # t / 4 underflows, the series does not
-    ], ids=["pam-b", "pam-t-subnormal"])
+        # the heat kernel underflows to 0 between cells 3e298 apart, without a warning
+        ["holder", "--half-width", "1e300", "--n-steps", "64", "--n-cells", "64", "--replicas", "8",
+         "--time-lags", "2,4,8", "--space-lags", "2,4,8"],
+    ], ids=["pam-b", "pam-t-subnormal", "holder-half-width-huge"])
     def test_edge_values_in_domain_exit_0(self, tmp_path, argv):
         assert run(argv + ["--seed", "1", "--out", tmp_path]) == 0
         for artifact in tmp_path.glob("*.json"):
@@ -474,8 +477,27 @@ class TestRangeChecks:
         ["chaos", "--model", "gbm", "--b", "1000"],
         ["noise", "--kind", "sheet", "--half-width", "1e308"],
         ["noise", "--kind", "homogeneous", "--half-width", "1e308", "--format", "spdf"],
+        # huge floats in their domains: power-law rows, t^(2H) and the pam-white grid
+        ["fk", "--hurst", "0.7", "--alpha", "0.5", "--t", "1e300"],
+        ["noise", "--kind", "fbm", "--hurst", "0.7", "--t", "1e300"],
+        ["noise", "--kind", "homogeneous", "--hurst", "0.7", "--alpha", "0.5", "--t", "1e300"],
+        ["noise", "--kind", "homogeneous", "--hurst", "0.7", "--alpha", "0.5",
+         "--half-width", "1e300"],
+        ["simulate", "--model", "gfbm", "--hurst", "0.9", "--t", "1e300"],
+        ["chaos", "--model", "gfbm", "--hurst", "0.9", "--t", "1e300", "--n", "0"],
+        ["simulate", "--model", "pam-white", "--half-width", "1e300"],
+        ["simulate", "--model", "pam-white", "--half-width", repr(sys.float_info.max)],
+        # the same, found by the edge fuzz: numpy warned on the way to exit 3
+        ["simulate", "--p", "1e300", "--replicas", "100"],
+        ["simulate", "--model", "pam-white", "--t", "1e300", "--n-steps", "4", "--replicas", "10"],
+        ["certificate", "--big-t", repr(sys.float_info.max), "--replicas", "100"],
+        ["holder", "--half-width", repr(sys.float_info.max), "--n-steps", "64", "--n-cells", "64",
+         "--replicas", "8", "--time-lags", "2,4,8", "--space-lags", "2,4,8"],
     ], ids=["pam-closed-form", "certificate-constant", "gbm-closed-form", "noise-sheet",
-            "noise-homogeneous"])
+            "noise-homogeneous", "fk-t-huge", "fbm-t-huge", "homogeneous-t-huge",
+            "homogeneous-half-width-huge", "gfbm-t-huge", "chaos-gfbm-t-huge",
+            "pam-white-half-width-huge", "pam-white-half-width-max", "gbm-p-huge",
+            "pam-white-t-huge", "certificate-big-t-max", "holder-half-width-max"])
     def test_overflow_exits_3(self, tmp_path, capsys, argv):
         assert run(argv + ["--seed", "1", "--out", tmp_path / "out"]) == 3
         assert _last_json(capsys)["error"] == "NumericalError"
@@ -572,8 +594,8 @@ def test_config_fuzz_exits_2_never_1(written_configs, data):
 def _edge_values(domain, integer):
     """0, -1 and -0.5, and each end of ``domain`` with its nearest neighbours
     (1/2 for "in (1/2, 1)" gives 1/2-, 1/2 and 1/2+; an integer end e gives e-1,
-    e and e+1)."""
-    values = [0, -1, -0.5]
+    e and e+1); for a float option also 1e300 and the largest float."""
+    values = [0, -1, -0.5] + ([] if integer else [1e300, sys.float_info.max])
     for text in re.findall(r"\d+(?:/\d+)?", domain or ""):
         end = Fraction(text)
         if integer:
@@ -587,9 +609,10 @@ def _edge_values(domain, integer):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_config_edge_values_exit_0_2_or_3(written_configs, data):
-    """One numeric key of a written config set to 0, -1, -0.5 or a value at an
-    end of its option's domain (a list to that one value): the re-run exits 0,
-    2 or 3, never 1, and on exit 0 every JSON artifact is strict JSON."""
+    """One numeric key of a written config set to 0, -1, -0.5, a value at an
+    end of its option's domain or a huge float (a list to that one value): the
+    re-run exits 0, 2 or 3, never 1, and on exit 0 every JSON artifact is
+    strict JSON."""
     root, configs = written_configs
     name = data.draw(st.sampled_from(sorted(configs)))
     cfg = dict(configs[name])

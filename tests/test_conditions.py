@@ -1,5 +1,8 @@
 import math
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from scipy import integrate
 
@@ -19,6 +22,45 @@ from spde_lab.rng import RngStream
 
 ALPHAS = (0.25, 0.75, 1.25, 1.75)
 HURSTS = (0.55, 0.65, 0.75, 0.85, 0.95)
+
+
+def _reference_joint_quadrature(op_kind, nu, mu, d):
+    """The joint condition's value by iterated adaptive quadrature, the way
+    general_joint_condition computed it before its closed form; the oracle.
+    Only for convergent cases: -1 < beta_t < 1 and d + beta_s below the tail
+    threshold."""
+    bt, a_out = nu.exponent, d + mu.exponent
+    # J = int_R |sigma|^bt / (1+sigma^2) dsigma; sigma = v^(1/at) flattens [0,1]
+    at = bt + 1.0
+    j_head, _ = integrate.quad(
+        lambda v: 1.0 / at / (1.0 + v ** (2.0 / at)), 0.0, 1.0, epsabs=1e-12, epsrel=1e-12
+    )
+    j_tail, _ = integrate.quad(
+        lambda s: s**bt / (1.0 + s * s), 1.0, np.inf, epsabs=1e-12, epsrel=1e-12
+    )
+    j_value = 2.0 * (j_head + j_tail)
+
+    def smooth_part(r):
+        # the time integral at m^2 is (1 + m^2)^((bt - 1)/2) J
+        m2 = r**4 if op_kind == "heat" else r * r
+        w = 1.0 if op_kind == "heat" else (1.0 + r * r) ** -0.5
+        return mu.constant * w * nu.constant * (1.0 + m2) ** (0.5 * (bt - 1.0)) * j_value
+
+    # r = v^(1/a_out) on [0,1]: the weight r^(a_out-1) dr becomes dv / a_out
+    head, _ = integrate.quad(
+        lambda v: smooth_part(v ** (1.0 / a_out)) / a_out, 0.0, 1.0,
+        epsabs=1e-9, epsrel=1e-9, limit=200,
+    )
+    tail, _ = integrate.quad(
+        lambda r: r ** (a_out - 1.0) * smooth_part(r), 1.0, np.inf,
+        epsabs=1e-9, epsrel=1e-9, limit=200,
+    )
+    return head + tail
+
+
+# (alpha, d) for the joint-condition sweep, crossed with both operators and JOINT_HURSTS
+JOINT_RIESZ = ((0.01, 1), (0.25, 1), (0.5, 1), (0.9, 1), (1.5, 2), (1.9, 2), (2.5, 3))
+JOINT_HURSTS = (0.51, 0.55, 0.75, 0.95, 0.999)
 
 
 class TestClosedFormChecks:
@@ -138,6 +180,85 @@ class TestJointCondition:
         with pytest.raises(DomainError):
             SpectralMeasure.riesz_dual(2.0, 2)
 
+    @pytest.mark.parametrize("op", ["heat", "wave"])
+    @pytest.mark.parametrize("alpha, d", JOINT_RIESZ)
+    def test_closed_form_matches_reference_quadrature(self, op, alpha, d):
+        convergent = 0
+        for h in JOINT_HURSTS:
+            nu, mu = SpectralMeasure.fractional_time(h), SpectralMeasure.riesz_dual(alpha, d)
+            j = general_joint_condition(op, nu, mu, d)
+            assert j.method == "closed_form"
+            assert j.satisfied == check_fractional(op, alpha, h, d).satisfied
+            if j.satisfied:
+                convergent += 1
+                ref = _reference_joint_quadrature(op, nu, mu, d)
+                assert j.integral_estimate == pytest.approx(ref, rel=1e-10)
+        # every (op, alpha, d) row has convergent cases; 65 over the sweep
+        assert convergent >= 1
+
+    def test_constants_scale_the_value(self):
+        nu, mu = SpectralMeasure(-0.4, 3.0), SpectralMeasure(-0.5, 0.5)
+        for op in ("heat", "wave"):
+            value = general_joint_condition(op, nu, mu, 1).integral_estimate
+            ref = _reference_joint_quadrature(op, nu, mu, 1)
+            assert value == pytest.approx(ref, rel=1e-10)
+
+    # (op, beta_t, beta_s, d) and the verdict class the iterated quadrature
+    # route gave: "satisfied", "divergent" or "DomainError"
+    EDGES = [
+        ("heat", 1.0, 0.0, 1, "divergent"),
+        ("heat", -1.0, 0.0, 1, "divergent"),
+        ("wave", math.nextafter(1.0, 2.0), 0.0, 1, "divergent"),
+        ("wave", math.nextafter(-1.0, -2.0), 0.0, 1, "divergent"),
+        ("heat", math.nextafter(-1.0, 0.0), 0.0, 1, "satisfied"),
+        ("wave", math.nextafter(-1.0, 0.0), -1.5, 2, "satisfied"),
+        ("heat", math.nextafter(1.0, 0.0), -0.999, 1, "divergent"),
+        ("wave", math.nextafter(1.0, 0.0), -0.999, 1, "satisfied"),
+        ("heat", 1.0, -1.5, 1, "divergent"),  # time divergence is decided first
+        ("heat", math.nextafter(1.0, 0.0), -1.0, 1, "DomainError"),
+        ("wave", 0.5, -1.5, 1, "DomainError"),
+        # Lebesgue time measure: heat needs d + beta_s < 2, wave d + beta_s < 2
+        ("heat", 0.0, 0.0, 1, "satisfied"),
+        ("heat", 0.0, 0.0, 2, "divergent"),
+        ("wave", 0.0, 0.0, 1, "satisfied"),
+        ("wave", 0.0, 0.0, 2, "divergent"),
+    ] + [
+        # a = 1 + beta_s one float below, at and above the tail threshold 1.5:
+        # 2 (1 - beta_t) for heat at beta_t = 1/4, 2 - beta_t for wave at 1/2
+        (op, bt, a - 1.0, 1, "satisfied" if a < 1.5 else "divergent")
+        for op, bt in (("heat", 0.25), ("wave", 0.5))
+        for a in (math.nextafter(1.5, 0.0), 1.5, math.nextafter(1.5, 2.0))
+    ]
+
+    @pytest.mark.parametrize("op, bt, bs, d, expected", EDGES)
+    def test_verdict_classes_at_edges(self, op, bt, bs, d, expected):
+        nu, mu = SpectralMeasure(bt, 1.0), SpectralMeasure(bs, 1.0)
+        if expected == "DomainError":
+            with pytest.raises(DomainError):
+                general_joint_condition(op, nu, mu, d)
+            return
+        j = general_joint_condition(op, nu, mu, d)
+        assert j.method == "closed_form"
+        assert j.satisfied == (expected == "satisfied")
+        assert j.divergent == (expected == "divergent")
+        if j.satisfied:
+            # next to beta_t = +-1 the time integral J ~ 2 / (1 - |beta_t|) is
+            # about 1.8e16, beyond what the reference quadrature resolves
+            assert math.isfinite(j.integral_estimate) and j.integral_estimate > 0
+        else:
+            assert j.integral_estimate is None
+
+    def test_loads_no_scipy(self):
+        code = (
+            "import sys\n"
+            "from spde_lab.conditions import SpectralMeasure, general_joint_condition\n"
+            "for op in ('heat', 'wave'):\n"
+            "    general_joint_condition(op, SpectralMeasure.fractional_time(0.75),\n"
+            "                            SpectralMeasure.riesz_dual(0.5, 1), 1)\n"
+            "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
+
     def test_value_against_direct_2d_quadrature(self):
         nu = SpectralMeasure.fractional_time(0.75)
         mu = SpectralMeasure.riesz_dual(0.5, 1)
@@ -226,3 +347,17 @@ class TestGronwallCertificate:
     def test_degenerate_profile(self):
         with pytest.raises(InputError):
             dalang_gronwall_certificate(0.0, 1.0, rng=RngStream(0))
+
+    def test_rng_is_required_by_keyword(self):
+        with pytest.raises(TypeError):
+            dalang_gronwall_certificate(1.0, 1.0)
+        with pytest.raises(TypeError):
+            dalang_gronwall_certificate(1.0, 1.0, 1.0, 2, 10, RngStream(0))
+
+    def test_horizon_beyond_float_range_raises(self):
+        # T u^2 partial sums overflow (beyond T, so outside) before G(T)^n does
+        with pytest.raises(NumericalError, match="overflows"):
+            dalang_gronwall_certificate(
+                OperatorSpec("heat", 1), sys.float_info.max, n_max=4, mc_replicas=100,
+                rng=RngStream(0),
+            )

@@ -23,6 +23,11 @@ class TestHeatKernel:
     def test_peak_value(self):
         assert heat_kernel(1.0, 0.0, 1) == pytest.approx((2 * math.pi) ** -0.5, rel=1e-14)
 
+    def test_far_away_is_zero_without_warning(self):
+        # x^2 overflows: the Gaussian is 0 there, and the suite makes a warning an error
+        assert heat_kernel(1.0, 1e200, 1) == 0.0
+        assert np.array_equal(heat_kernel(1e-300, np.array([0.0, 1e10]), 1)[1:], [0.0])
+
     def test_scaling(self):
         # G(t, x) = t^(-d/2) G(1, x / sqrt(t))
         assert heat_kernel(4.0, 2.0, 1) == pytest.approx(heat_kernel(1.0, 1.0, 1) / 2, rel=1e-14)

@@ -43,6 +43,12 @@ class TestEstimateMoments:
         with pytest.raises(DomainError):
             estimate_moments(np.ones(10), [0.5])
 
+    @pytest.mark.parametrize("x, p", [(np.full(4, 1e200), 2.0), (np.array([1.0, 2.0]), 1e300)],
+                             ids=["values", "order"])
+    def test_overflowing_moment_raises(self, x, p):
+        with pytest.raises(NumericalError, match="not finite"):
+            estimate_moments(x, [p])
+
     def test_gbm_second_moment(self):
         grid = TimeGrid(1.0, 1)
         paths = sample_bm_paths(grid, RngStream(17), 100_000)
@@ -350,10 +356,11 @@ def old_holder_estimate(fields, spacing, axis, p, lags, periodic_space):
     u = np.asarray(fields, dtype=float)
     ax = 1 if axis == "time" else 2
     n_axis = u.shape[ax]
-    usable = [m for m in lags if 0 < m and (m < n_axis if not periodic_space else m <= n_axis // 2)]
+    periodic = axis == "space" and periodic_space
+    usable = [m for m in lags if 0 < m and (m <= n_axis // 2 if periodic else m < n_axis)]
     norms = []
     for m in usable:
-        if axis == "space" and periodic_space:
+        if periodic:
             inc = np.roll(u, -m, axis=2) - u
         else:
             take_hi = np.take(u, np.arange(m, n_axis), axis=ax)
@@ -378,6 +385,16 @@ class TestHolderEstimate:
         exponent, norms = old_holder_estimate(fields, 0.01, axis, p, (2, 4, 8, 16), periodic)
         assert fit.exponent == exponent
         assert fit.norms.tobytes() == norms.tobytes()
+
+    def test_periodic_flag_leaves_time_axis_alone(self):
+        # time increments never wrap, so the flag must not drop lag 32 of 40 nodes
+        fields = np.random.default_rng(5).standard_normal((4, 40, 8)).cumsum(axis=1)
+        lags = (2, 4, 8, 16, 32)
+        plain = holder_estimate(fields, 0.01, "time", lags=lags)
+        flagged = holder_estimate(fields, 0.01, "time", lags=lags, periodic_space=True)
+        assert flagged.lags == plain.lags == lags
+        assert flagged.exponent == plain.exponent
+        assert flagged.norms.tobytes() == plain.norms.tobytes()
 
     @pytest.mark.parametrize("p", [0, -1, 0.5, np.nan, np.inf])
     def test_moment_order_outside_domain(self, p):

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -219,6 +220,22 @@ class TestCellCovariance:
             for t, s in [(1.0, 2.0), (0.5, 0.5), (0.25, 1.75)]:
                 v = fractional_time_cell_integral(h, 0.0, t, 0.0, s)
                 assert v == pytest.approx(fbm_covariance(h, t, s), rel=1e-12)
+
+    @pytest.mark.parametrize("kernels", [(TimeKernel.fractional(0.7), SpaceKernel.white()),
+                                         (TimeKernel.white(), SpaceKernel.riesz(0.5))],
+                             ids=["fractional-time", "riesz-space"])
+    def test_overflowing_cell_integral_raises(self, kernels):
+        # 1e300 ** 1.4 and ** 1.5 raise OverflowError in Python floats
+        cell = Cell(0.0, 1e300, (0.0,), (1e300,))
+        with pytest.raises(NumericalError, match="overflows"):
+            cell_covariance(cell, cell, NoiseSpec(*kernels))
+
+    def test_corner_sum_overflowing_to_inf_raises(self):
+        # with p = 1 no power raises, but the corner gaps overflow to inf
+        big = sys.float_info.max
+        with pytest.raises(NumericalError, match="overflows"):
+            noise._corner_sum((0.5, 1.0), -big, big, -big, big)
+        assert noise._corner_sum((0.5, 1.0), 0.0, 1e300, 0.0, 1e300) == 1e300
 
     def test_riesz_d1_vs_adaptive_quadrature(self):
         # two unit intervals at distance 10
@@ -482,6 +499,17 @@ class TestFactorMatrices:
                     worst_old = max(worst_old, np.max(np.abs(old - exact)) / exact[0])
                     worst_new = max(worst_new, np.max(np.abs(new[0] - exact)) / exact[0])
         assert worst_new <= worst_old
+
+    @pytest.mark.parametrize("law, h", [(noise._power_law(noise.FRACTIONAL, 0.7), 1e300),
+                                        (noise._power_law(noise.RIESZ, 0.99), 1e304)],
+                             ids=["power-overflows", "scale-overflows"])
+    def test_overflowing_row_raises(self, law, h):
+        # h ** 1.4 raises OverflowError; 1e304 ** 1.01 is finite, but not
+        # times the Riesz constant 1 / (0.01 * 1.01)
+        with pytest.raises(NumericalError, match="overflows"):
+            noise._power_law_row(law, h, 4)
+        with pytest.raises(NumericalError, match="overflows"):
+            time_factor_matrix(TimeGrid(4e300, 4), TimeKernel.fractional(0.7))
 
     def test_disjoint_white_cells_exactly_uncorrelated(self):
         grid = SpaceTimeGrid(TimeGrid(0.3, 3), 0.7, 5)

@@ -645,6 +645,20 @@ class TestPamEuler:
         u = solve_pam_euler(grid, w, initial)
         assert u.tobytes() == old_pam_euler_final_batch(grid, w, initial).tobytes()
 
+    def test_overflow_raises(self):
+        # u grows by about dx + w = 1e200 per step and overflows at step 2
+        grid = SpaceTimeGrid(TimeGrid(0.25, 4), 4.0, 8)
+        with pytest.raises(NumericalError, match="overflows"):
+            solve_pam_euler(grid, np.full((1,) + grid.cell_shape(), 1e200))
+
+    def test_infinite_cell_width_raises(self):
+        # 2 * 1e308 / 4 overflows; a displacement of 0 * inf would be nan
+        grid = SpaceTimeGrid(TimeGrid(0.25, 4), 1e308, 4)
+        with pytest.raises(NumericalError, match="cell width"):
+            solve_pam_euler(grid, np.zeros((1,) + grid.cell_shape()))
+        with pytest.raises(NumericalError, match="cell width"):
+            linear_heat_node_samples(grid, np.arange(3), 2, RngStream(0))
+
     def test_rejects_wrong_sheet_shape(self):
         grid = SpaceTimeGrid(TimeGrid(0.25, 16), 4.0, 32)
         for shape in ((2, 17, 32), (2, 16, 31), (16, 32)):
