@@ -204,6 +204,8 @@ def run_simulate(cfg: dict, out: Path, threads: int = 1) -> None:
                 return np.exp(z[:, 0] - var / 2.0)
 
             x = map_replica_blocks(replicas, block, stream.substream(i << 32), threads=threads)
+            if not x.any():  # a lognormal sample is positive
+                raise NumericalError(f"every sample exp(Z - var/2) underflows to 0 at t={t}")
         else:  # pam-white; --model choices admit no other model
             grid = _auto_pam_grid(t, cfg["n_steps"], cfg.get("half_width"))
             vol = math.sqrt(grid.cell_volume)

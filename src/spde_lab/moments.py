@@ -70,7 +70,8 @@ def estimate_moments(
     samples: np.ndarray, p_list, model: str = "", t: float = float("nan")
 ) -> list[MomentRow]:
     """Sample means of |X|^p with jackknife standard errors, one row per p;
-    NumericalError when either is not finite."""
+    NumericalError when either is not finite or underflows: |X|^p is 0 on
+    every sample while some |X| > 0, or the stderr is 0 on differing |X|^p."""
     x = np.abs(np.asarray(samples, dtype=float))
     if x.size == 0:
         raise InputError("cannot estimate moments from an empty sample")
@@ -83,6 +84,10 @@ def estimate_moments(
             row = MomentRow(model, t, float(p), float(vals.mean()), jackknife_stderr(vals), x.size)
         if not (math.isfinite(row.estimate) and math.isfinite(row.stderr)):
             raise NumericalError(f"moment of order {p} at t={t} is not finite")
+        # a 0 stderr is wrong when the |X|^p differ, or when they all round
+        # to 0 while some |X| > 0: the moment or its stderr underflowed
+        if row.stderr == 0.0 and (vals.max() > vals.min() or (row.estimate == 0.0 and x.any())):
+            raise NumericalError(f"moment of order {p} at t={t} underflows")
         rows.append(row)
     return rows
 
@@ -382,6 +387,12 @@ def holder_estimate(
         if not np.isfinite(moment):
             raise NumericalError(f"increment moment of order {p} at lag {m} is not finite")
         if moment <= 0.0:
+            # on a field that varies, rounding lost them: |increment|^p underflowed,
+            # or the increments lie below the values' spacing (a huge t flattens G)
+            if u.min() < u.max():
+                raise NumericalError(
+                    f"{axis} increments at lag {m} round to 0 on a field that varies"
+                )
             raise InputError("increments vanish; the exponent is undefined")
         norms.append(moment ** (1.0 / p))
     norms = np.asarray(norms)

@@ -642,9 +642,15 @@ class WickPamSampler:
         dx = self.grid.dx
         u1 = np.zeros((n, self.grid.n_cells))
         u2 = np.zeros_like(u1)
-        for k in range(self.grid.time.n_steps):
-            u2 = self._step(u2 * dx + u1 * w[:, k] - self.tau[k])
-            u1 = self._step(u1 * dx + w[:, k])
+        # the sampler's einsum leaves space outermost and time innermost in
+        # memory, so w[:, k] is a strided gather; a time-major copy of 8 steps
+        # at a time (one cache line per replica and cell) makes each step
+        # contiguous without a second whole-batch array, which kept RSS up
+        for k0 in range(0, self.grid.time.n_steps, 8):
+            steps = np.ascontiguousarray(w[:, k0 : k0 + 8].transpose(1, 0, 2))
+            for k, w_k in enumerate(steps, k0):
+                u2 = self._step(u2 * dx + u1 * w_k - self.tau[k])
+                u1 = self._step(u1 * dx + w_k)
         return u1, u2
 
     def second_moment_samples(self, rng, n: int):

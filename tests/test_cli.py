@@ -66,6 +66,48 @@ class TestCheckCommand:
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert err["error"] == "DomainError"
 
+    def test_numeric_runs_without_scipy(self, tmp_path):
+        # scipy made unimportable: the quadrature route still agrees with the closed form
+        code = (
+            "import contextlib, io, json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from spde_lab.cli import main\n"
+            "for i, (op, alpha, d) in enumerate([('heat', 1.3, 2), ('wave', 1.9, 2),\n"
+            "                                    ('dalang', 1.5, 3), ('heat', 2.5, 3)]):\n"
+            f"    out = {str(tmp_path)!r} + f'/{{i}}'\n"
+            "    argv = ['check', '--op', op, '--alpha', str(alpha), '--hurst', '0.6',\n"
+            "            '--d', str(d), '--numeric', '--out', out]\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "    print(open(out + '/check.json').read().replace('\\n', ''))\n"
+        )
+        verdicts = [json.loads(line)["results"] for line in _python(code).splitlines()]
+        assert [v["verdict"]["satisfied"] for v in verdicts] == [True, True, True, False]
+        for v in verdicts:
+            closed, numeric = v["verdict"], v["numeric_verdict"]
+            assert numeric["method"] == "quadrature"
+            assert numeric["satisfied"] == closed["satisfied"]
+            if closed["satisfied"]:
+                assert numeric["estimate"] == pytest.approx(closed["estimate"], rel=1e-10)
+            else:
+                assert numeric["estimate"] == closed["estimate"] == "divergent"
+
+    @pytest.mark.parametrize("op", ["heat", "wave", "dalang"])
+    def test_numeric_at_domain_edges_never_exits_1(self, tmp_path, op):
+        base = {"alpha": 0.5, "hurst": 0.75, "d": 2}
+        for name, value in base.items():
+            o = cli._OPTIONS["check"][name]
+            for edge in _edge_values(o.domain, isinstance(value, int)):
+                argv = ["check", "--op", op, "--numeric", "--out", tmp_path]
+                for key, v in {**base, name: edge}.items():
+                    argv += [f"--{key}={v!r}"]
+                with contextlib.redirect_stdout(io.StringIO()):
+                    try:
+                        code = run(argv)
+                    except SystemExit as exc:  # an int option given a float
+                        code = exc.code
+                assert code in (0, 2, 3), argv
+
     def test_bad_flag_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["check", "--op", "diffusion", "--alpha", "1.0", "--out", tmp_path])
@@ -292,23 +334,41 @@ class TestNoiseCommand:
         assert code == 2
 
 
+def _python(code):
+    """Run ``code`` in a fresh interpreter that imports this checkout's spde_lab."""
+    src = str(Path(spde_lab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return proc.stdout
+
+
 class TestColdStart:
     def test_cli_import_loads_no_scipy(self):
-        # only the quadrature route (check --numeric) may pay for scipy; the
-        # d=2 Riesz cell integrals use math.erf
-        src = str(Path(spde_lab.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        # the d=2 Riesz cell integrals use math.erf
         code = (
             "import spde_lab.cli, sys; from spde_lab import grids, noise; "
             "noise.HomogeneousNoiseSampler(grids.SpaceTimeGrid(grids.TimeGrid(1.0, 2), 1.0, 4, "
             "dim=2), noise.NoiseSpec.fractional_riesz(0.7, 1.3)); "
             "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        assert _python(code).strip() == "[]"
+
+    def test_no_subcommand_loads_scipy(self, tmp_path):
+        # every subcommand once, check --numeric (the quadrature route) included
+        runs = _ROUNDTRIP_RUNS + [["check", "--op", "wave", "--alpha", "0.5", "--hurst", "0.6",
+                                   "--d", "1", "--numeric"]]
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from spde_lab.cli import main\n"
+            f"for i, argv in enumerate({json.dumps(runs)}):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"        assert main(argv + ['--out', {str(tmp_path)!r} + f'/{{i}}']) == 0, argv\n"
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
         )
-        assert proc.stdout.strip() == "[]"
+        assert _python(code).strip() == "[]"
 
 
 def _last_json(capsys):
@@ -493,11 +553,18 @@ class TestRangeChecks:
         ["certificate", "--big-t", repr(sys.float_info.max), "--replicas", "100"],
         ["holder", "--half-width", repr(sys.float_info.max), "--n-steps", "64", "--n-cells", "64",
          "--replicas", "8", "--time-lags", "2,4,8", "--space-lags", "2,4,8"],
+        # underflow: every sample or every |X|^p rounds to 0, or G(t, .) is flat on the grid
+        ["simulate", "--model", "gbm", "--t", "1000"],
+        ["simulate", "--model", "gbm", "--t", "1e300"],
+        ["simulate", "--model", "gfbm", "--hurst", "0.9", "--t", "1e100"],
+        ["holder", "--t", "1e300", "--n-steps", "1024", "--n-cells", "32", "--replicas", "4"],
     ], ids=["pam-closed-form", "certificate-constant", "gbm-closed-form", "noise-sheet",
             "noise-homogeneous", "fk-t-huge", "fbm-t-huge", "homogeneous-t-huge",
             "homogeneous-half-width-huge", "gfbm-t-huge", "chaos-gfbm-t-huge",
             "pam-white-half-width-huge", "pam-white-half-width-max", "gbm-p-huge",
-            "pam-white-t-huge", "certificate-big-t-max", "holder-half-width-max"])
+            "pam-white-t-huge", "certificate-big-t-max", "holder-half-width-max",
+            "gbm-moment-underflow", "gbm-sample-underflow", "gfbm-sample-underflow",
+            "holder-t-huge"])
     def test_overflow_exits_3(self, tmp_path, capsys, argv):
         assert run(argv + ["--seed", "1", "--out", tmp_path / "out"]) == 3
         assert _last_json(capsys)["error"] == "NumericalError"

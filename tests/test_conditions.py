@@ -1,11 +1,13 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from spde_lab import conditions, rng
 from spde_lab.conditions import (
     GronwallCertificate,
     SpectralMeasure,
@@ -18,7 +20,7 @@ from spde_lab.conditions import (
 )
 from spde_lab.errors import CapabilityError, DomainError, InputError, NumericalError
 from spde_lab.kernels import OperatorSpec, g_squared_integral
-from spde_lab.rng import RngStream
+from spde_lab.rng import CHUNK_BYTES, RngStream, as_generator
 
 ALPHAS = (0.25, 0.75, 1.25, 1.75)
 HURSTS = (0.55, 0.65, 0.75, 0.85, 0.95)
@@ -61,6 +63,46 @@ def _reference_joint_quadrature(op_kind, nu, mu, d):
 # (alpha, d) for the joint-condition sweep, crossed with both operators and JOINT_HURSTS
 JOINT_RIESZ = ((0.01, 1), (0.25, 1), (0.5, 1), (0.9, 1), (1.5, 2), (1.9, 2), (2.5, 3))
 JOINT_HURSTS = (0.51, 0.55, 0.75, 0.95, 0.999)
+
+
+def _reference_quad(mu, kappa, d):
+    """dalang_integral_numeric's value by scipy's adaptive quad, the way it was
+    computed before the tanh-sinh rule; the oracle. Only for convergent cases."""
+    a = d + mu.exponent
+    # r = v^(1/a) on [0,1]: the weight r^(a-1) dr becomes dv / a
+    head, _ = integrate.quad(
+        lambda v: mu.constant / a * (1.0 + v ** (2.0 / a)) ** -kappa, 0.0, 1.0,
+        epsabs=1e-12, epsrel=1e-12,
+    )
+    tail, _ = integrate.quad(
+        lambda r: mu.constant * r ** (a - 1.0) * (1.0 + r * r) ** -kappa, 1.0, np.inf,
+        epsabs=1e-12, epsrel=1e-12,
+    )
+    return head + tail
+
+
+def _beta_closed_form(a, kappa):
+    """B(a, kappa) = Gamma(a/2) Gamma(kappa - a/2) / (2 Gamma(kappa))."""
+    return math.exp(math.lgamma(a / 2) + math.lgamma(kappa - a / 2) - math.lgamma(kappa)) / 2
+
+
+def _whole_array_certificate(profile, T, M, n_max, mc_replicas, rng):
+    """The certificate's arrays as dalang_gronwall_certificate computed them
+    before it drew per chunk: one (mc_replicas, n_max) draw; the oracle."""
+    g_total, inv_cdf = conditions._profile_sampler(profile, T)
+    u = as_generator(rng).random((mc_replicas, n_max))
+    with np.errstate(over="ignore"):
+        s = np.cumsum(inv_cdf(u), axis=1)
+    p_hat = np.empty(n_max + 1)
+    p_err = np.empty(n_max + 1)
+    p_hat[0], p_err[0] = 1.0, 0.0
+    inside = s <= T
+    p_hat[1:] = inside.mean(axis=0)
+    p_err[1:] = np.sqrt(p_hat[1:] * (1.0 - p_hat[1:]) / mc_replicas)
+    powers = g_total ** np.arange(n_max + 1)
+    a_n = powers * p_hat
+    return {"a_n": a_n, "stderr": powers * p_err, "bounds": M * a_n,
+            "partial_sums_p1": np.cumsum(a_n), "partial_sums_p2": np.cumsum(np.sqrt(a_n))}
 
 
 class TestClosedFormChecks:
@@ -156,6 +198,47 @@ class TestNumericIntegral:
     def test_local_finiteness_guard(self):
         with pytest.raises(DomainError):
             dalang_integral_numeric(SpectralMeasure(exponent=-2.5), 1.0, 2)
+
+    # at e = 1e-3 quad's tail on [1, inf) reports roundoff but still agrees to 1e-10
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_matches_adaptive_quadrature_sweep(self):
+        # a = alpha near 0 and e = 2 kappa - a near 0 sharpen the unit-interval
+        # integrands next to 1; the constant scales the value
+        cases = 0
+        for d in (1, 2, 3):
+            for kappa in (1.0, 1.1, 1.3, 1.5, 1.9):
+                alphas = (1e-3, 0.1, 0.25, 0.5, 0.9, 1.25, 1.75, 2.5, 2.9, 2 * kappa - 1e-3)
+                for alpha in alphas:
+                    if not alpha < min(d, 2 * kappa):
+                        continue
+                    mu = SpectralMeasure(alpha - d, 2.5)
+                    v = dalang_integral_numeric(mu, kappa, d)
+                    assert v.satisfied and v.method == "quadrature"
+                    ref = _reference_quad(mu, kappa, d)
+                    assert v.integral_estimate == pytest.approx(ref, rel=1e-10), (d, kappa, alpha)
+                    exact = 2.5 * _beta_closed_form(alpha, kappa)
+                    assert v.integral_estimate == pytest.approx(exact, rel=1e-12), (d, kappa, alpha)
+                    cases += 1
+        assert cases >= 80
+
+    @pytest.mark.parametrize("kappa", [0.05, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("a", [1e-15, 1e-9, "2k-1e-9", "2k-ulp"])
+    def test_matches_closed_form_at_float_extremes(self, kappa, a):
+        # where the adaptive quadrature gives up, the Beta closed form still holds
+        a = {"2k-1e-9": 2 * kappa - 1e-9, "2k-ulp": math.nextafter(2 * kappa, 0)}.get(a, a)
+        v = dalang_integral_numeric(SpectralMeasure(a - 1.0), kappa, 1)
+        a = 1.0 + (a - 1.0)  # the exponent a the measure really has
+        assert v.integral_estimate == pytest.approx(_beta_closed_form(a, kappa), rel=1e-12)
+
+    @pytest.mark.parametrize("constant, exponent, kappa", [
+        (1e308, -0.5, 1.0),  # c / a = 2e308
+        (1e308, 0.5, 1.0),  # c / e = 2e308
+        (1.0, -0.5, 1e308),  # (1 + v^4)^(-kappa) is 0 at every node
+        (1.0, -0.9, math.inf),  # inf * 0
+    ], ids=["head-overflow", "tail-overflow", "underflow", "kappa-inf"])
+    def test_value_beyond_float_range_raises(self, constant, exponent, kappa):
+        with pytest.raises(NumericalError, match="overflows or underflows"):
+            dalang_integral_numeric(SpectralMeasure(exponent, constant), kappa, 1)
 
 
 class TestJointCondition:
@@ -353,6 +436,40 @@ class TestGronwallCertificate:
             dalang_gronwall_certificate(1.0, 1.0)
         with pytest.raises(TypeError):
             dalang_gronwall_certificate(1.0, 1.0, 1.0, 2, 10, RngStream(0))
+
+    @pytest.mark.parametrize("profile, big_t", [
+        (OperatorSpec("heat", 1), 0.7), (OperatorSpec("wave", 1), 2.0), (2.0, 1.0),
+    ], ids=["heat", "wave", "constant"])
+    @pytest.mark.parametrize("replicas, n_max", [
+        (1, 20), (5, 0), (13_107, 20), (13_109, 20), (200_001, 1),
+    ])
+    def test_chunked_draws_match_whole_array(self, profile, big_t, replicas, n_max, monkeypatch):
+        # 13_107 rows end in a lone row merged into the chunk before it, 13_109 in three
+        def row_chunks(count, row_bytes):
+            assert row_bytes > 0
+            return rng.row_chunks(count, row_bytes)
+
+        monkeypatch.setattr(conditions, "row_chunks", row_chunks)
+        cert = dalang_gronwall_certificate(
+            profile, big_t, M=1.5, n_max=n_max, mc_replicas=replicas, rng=RngStream(11)
+        )
+        ref = _whole_array_certificate(profile, big_t, 1.5, n_max, replicas, RngStream(11))
+        for name, values in ref.items():
+            assert getattr(cert, name).tobytes() == values.tobytes(), name
+
+    def test_peak_memory_does_not_grow_with_replicas(self):
+        # one (400_000, 20) float array alone is 64 MB; a chunk's arrays stay near CHUNK_BYTES
+        for replicas in (20_000, 400_000):
+            tracemalloc.start()
+            try:
+                dalang_gronwall_certificate(
+                    OperatorSpec("heat", 1), 1.0, n_max=20, mc_replicas=replicas,
+                    rng=RngStream(2),
+                )
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 6 * CHUNK_BYTES, replicas
 
     def test_horizon_beyond_float_range_raises(self):
         # T u^2 partial sums overflow (beyond T, so outside) before G(T)^n does

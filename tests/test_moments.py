@@ -49,6 +49,24 @@ class TestEstimateMoments:
         with pytest.raises(NumericalError, match="not finite"):
             estimate_moments(x, [p])
 
+    def test_underflowing_moment_raises(self):
+        # every |X|^2 underflows to 0 while |X| > 0: a 0 estimate would be wrong
+        with pytest.raises(NumericalError, match="underflows"):
+            estimate_moments(np.array([1e-200, 3e-170, 0.0]), [1.0, 2.0])
+        with pytest.raises(NumericalError, match="underflows"):
+            estimate_moments(np.full(3, 1e-200), [2.0])
+        rows = estimate_moments(np.array([1e-50, 3e-50, 0.0]), [1.0, 2.0])
+        assert rows[1].estimate > 0.0 and rows[1].stderr > 0.0
+
+    def test_underflowing_stderr_raises(self):
+        # subnormal |X|^2 that differ: their squared deviations underflow to 0
+        with pytest.raises(NumericalError, match="underflows"):
+            estimate_moments(np.array([1e-157, 2e-157, 3e-157]), [2.0])
+
+    def test_zero_sample_has_zero_moment(self):
+        row = estimate_moments(np.zeros(4), [2.0])[0]
+        assert row.estimate == 0.0 and row.stderr == 0.0
+
     def test_gbm_second_moment(self):
         grid = TimeGrid(1.0, 1)
         paths = sample_bm_paths(grid, RngStream(17), 100_000)
@@ -431,6 +449,18 @@ class TestHolderEstimate:
         fields = np.ones((2, 33, 8))
         with pytest.raises(InputError):
             holder_estimate(fields, 0.1, axis="time", lags=(2, 4, 8))
+
+    def test_increments_lost_to_rounding_raise_numerical_error(self):
+        # a field that varies in time but, as at a huge t, not on the space grid
+        t = np.random.default_rng(4).standard_normal((2, 33, 1))
+        flat_in_space = np.broadcast_to(t, (2, 33, 8)).copy()
+        with pytest.raises(NumericalError, match="space increments"):
+            holder_estimate(flat_in_space, 0.1, axis="space", lags=(1, 2, 4),
+                            periodic_space=True)
+        # increments of 1e-170 whose squares underflow
+        tiny = 1e-170 * np.random.default_rng(5).standard_normal((2, 33, 8))
+        with pytest.raises(NumericalError, match="time increments"):
+            holder_estimate(tiny, 0.1, axis="time", lags=(2, 4, 8))
 
     def test_needs_three_lags(self):
         fields = np.random.default_rng(0).standard_normal((2, 5, 4))

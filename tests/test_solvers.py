@@ -771,6 +771,22 @@ class TestWickPam:
         np.testing.assert_allclose(f1, u1, rtol=0, atol=1e-12 * np.abs(u1).max())
         np.testing.assert_allclose(f2, u2, rtol=0, atol=1e-12 * np.abs(u2).max())
 
+    @pytest.mark.parametrize("n_steps", [5, 8, 13, 32])
+    def test_blocked_march_bit_identical_to_strided_march(self, n_steps):
+        # the march over a time-major copy of 8 steps at a time, against the
+        # march on the sampler's own layout, step by step; 5 and 13 end in a
+        # short block
+        grid = SpaceTimeGrid(TimeGrid(0.25, n_steps), 2.0, 16)
+        sampler = WickPamSampler(grid, self.SPEC)
+        w = sampler.sampler.sample_batch(RngStream(33), 7)
+        u1 = np.zeros((7, grid.n_cells))
+        u2 = np.zeros_like(u1)
+        for k in range(n_steps):
+            u2 = sampler._step(u2 * grid.dx + u1 * w[:, k] - sampler.tau[k])
+            u1 = sampler._step(u1 * grid.dx + w[:, k])
+        f1, f2 = sampler.sample_chaos(RngStream(33), 7)
+        assert f1.tobytes() == u1.tobytes() and f2.tobytes() == u2.tobytes()
+
     def test_second_moment_samples_at_least_chaos0(self):
         sampler = WickPamSampler(self.GRID, self.SPEC)
         sm = sampler.second_moment_samples(RngStream(99), 500)
