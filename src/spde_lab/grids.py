@@ -8,6 +8,7 @@ nodes t_k = k dt at spatial cell centers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +55,14 @@ class SpaceTimeGrid:
             raise DomainError(f"n_cells must be >= 1, got {self.n_cells}")
         if self.dim not in (1, 2, 3):
             raise DomainError(f"dimension must be 1, 2 or 3, got {self.dim}")
+        if not math.isfinite(self.dx):
+            raise NumericalError(f"cell width 2 * {self.half_width} / {self.n_cells} overflows")
         try:
             volume = self.cell_volume
         except OverflowError:  # float ** int raises where float * float gives inf
-            raise NumericalError(f"cell volume dt * dx^{self.dim} overflows") from None
+            volume = math.inf
+        if not math.isfinite(volume):
+            raise NumericalError(f"cell volume dt * dx^{self.dim} overflows")
         if not volume > 0:
             raise DomainError(f"cell volume dt * dx^{self.dim} underflows to 0")
 

@@ -25,8 +25,8 @@ from .errors import (
 from .grids import SpaceTimeGrid, TimeGrid
 from .kernels import HEAT, WAVE
 from .noise import NoiseSpec, time_factor_matrix
-from .rng import RngStream, map_replica_blocks, row_chunks
-from .solvers import linear_heat_node_samples
+from .rng import RngStream, map_replica_blocks, replica_blocks, row_chunks
+from .solvers import linear_heat_node_chunks
 
 # ---------------------------------------------------------------------------
 # moment reports
@@ -324,6 +324,108 @@ class HolderFit:
 DEFAULT_HOLDER_LAGS = (2, 4, 8, 16, 32)
 
 
+def _increment_lags(
+    spacing: float, p: float, lags: tuple[int, ...], n_axis: int, periodic: bool
+) -> tuple[list[int], np.ndarray]:
+    """The usable lags on an axis of ``n_axis`` points and their spacings.
+
+    Raises ``DomainError`` for a moment order that is not finite or below 1,
+    a spacing that is not finite and positive, or lag spacings that
+    overflow, and ``InputError`` for fewer than 3 usable lags.
+    """
+    if not (np.isfinite(p) and p >= 1):
+        raise DomainError(f"moment order must be finite and >= 1, got {p}")
+    if not (np.isfinite(spacing) and spacing > 0):
+        raise DomainError(f"spacing must be finite and positive, got {spacing}")
+    usable = [m for m in lags if 0 < m and (m <= n_axis // 2 if periodic else m < n_axis)]
+    if len(usable) < 3:
+        raise InputError(
+            f"need at least 3 usable lag scales on an axis of length {n_axis}, "
+            f"got {usable}"
+        )
+    with np.errstate(over="ignore"):  # checked next
+        lag_spacings = np.asarray(usable, dtype=float) * spacing
+    if not np.all(np.isfinite(lag_spacings)):
+        raise DomainError(f"lag spacings overflow float64 at spacing {spacing}")
+    return usable, lag_spacings
+
+
+def _increment_sums(
+    u: np.ndarray, ax: int, p: float, lags: list[int], periodic: bool
+) -> np.ndarray:
+    """Sums of |increment|^p (row 0) and numbers of increments (row 1) per lag.
+
+    Increments of the (replicas, n_time, n_space) array ``u`` are taken
+    along axis ``ax`` (1 time, 2 space; ``periodic`` wraps them around
+    axis 2) by slice subtraction into a contiguous prefix of one buffer: a
+    strided view would change the pairwise order, and the bits, of the sum.
+    A sum that is not finite is left for ``_holder_fit`` to reject.
+    """
+    buf = np.empty(u.size)
+    sums = np.empty((2, len(lags)))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by the fit
+        for i, m in enumerate(lags):
+            if periodic:
+                inc = buf.reshape(u.shape)
+                np.subtract(u[:, :, m:], u[:, :, :-m], out=inc[:, :, :-m])
+                np.subtract(u[:, :, :m], u[:, :, -m:], out=inc[:, :, -m:])
+            else:
+                shape = list(u.shape)
+                shape[ax] -= m
+                inc = buf[: math.prod(shape)].reshape(shape)
+                hi = u[:, m:] if ax == 1 else u[:, :, m:]
+                lo = u[:, :-m] if ax == 1 else u[:, :, :-m]
+                np.subtract(hi, lo, out=inc)
+            np.abs(inc, out=inc)
+            inc **= p  # the in-place form of ``inc ** p``, with the same fast paths
+            sums[:, i] = np.sum(inc), inc.size
+    return sums
+
+
+def _holder_fit(
+    sums: np.ndarray,
+    varies: bool,
+    lags: list[int],
+    lag_spacings: np.ndarray,
+    p: float,
+    axis: str,
+) -> HolderFit:
+    """Least-squares slope of log ||increment||_p against log lag spacing.
+
+    ``sums`` is ``_increment_sums``' array, or a sum of them; each lag's
+    moment is its sum over its count. One that is not finite raises
+    ``NumericalError``; one that is 0 raises ``NumericalError`` when the
+    field ``varies`` (rounding lost the increments) and ``InputError`` when
+    it is constant.
+    """
+    norms = []
+    for m, total, count in zip(lags, *sums):
+        moment = total / count
+        if not np.isfinite(moment):
+            raise NumericalError(f"increment moment of order {p} at lag {m} is not finite")
+        if moment <= 0.0:
+            # on a field that varies, rounding lost them: |increment|^p underflowed,
+            # or the increments lie below the values' spacing (a huge t flattens G)
+            if varies:
+                raise NumericalError(
+                    f"{axis} increments at lag {m} round to 0 on a field that varies"
+                )
+            raise InputError("increments vanish; the exponent is undefined")
+        norms.append(moment ** (1.0 / p))
+    norms = np.asarray(norms)
+    xs = np.log(lag_spacings)
+    design = np.column_stack([xs, np.ones_like(xs)])
+    coef, *_ = np.linalg.lstsq(design, np.log(norms), rcond=None)
+    return HolderFit(
+        exponent=float(coef[0]),
+        lags=tuple(lags),
+        lag_spacings=lag_spacings,
+        norms=norms,
+        p=p,
+        axis=axis,
+    )
+
+
 def holder_estimate(
     fields: np.ndarray,
     spacing: float,
@@ -342,71 +444,18 @@ def holder_estimate(
     ``periodic_space`` space increments wrap around, at lags up to n_space / 2;
     time increments never do.
     """
-    if not (np.isfinite(p) and p >= 1):
-        raise DomainError(f"moment order must be finite and >= 1, got {p}")
-    if not (np.isfinite(spacing) and spacing > 0):
-        raise DomainError(f"spacing must be finite and positive, got {spacing}")
     u = np.asarray(fields, dtype=float)
-    if u.ndim != 3:
-        raise InputError(f"fields must be (replicas, n_time, n_space), got {u.shape}")
+    if u.ndim != 3 or u.size == 0:
+        raise InputError(
+            f"fields must be a non-empty (replicas, n_time, n_space) array, got {u.shape}"
+        )
     if axis not in ("time", "space"):
         raise InputError(f"axis must be 'time' or 'space', got {axis!r}")
     ax = 1 if axis == "time" else 2
-    n_axis = u.shape[ax]
     periodic = axis == "space" and periodic_space  # time increments are never periodic
-    usable = [m for m in lags if 0 < m and (m <= n_axis // 2 if periodic else m < n_axis)]
-    if len(usable) < 3:
-        raise InputError(
-            f"need at least 3 usable lag scales on an axis of length {n_axis}, "
-            f"got {usable}"
-        )
-    with np.errstate(over="ignore"):  # checked next
-        lag_spacings = np.asarray(usable, dtype=float) * spacing
-    if not np.all(np.isfinite(lag_spacings)):
-        raise DomainError(f"lag spacings overflow float64 at spacing {spacing}")
-    # every lag's increments go into a contiguous prefix of one buffer: a
-    # strided view would change the pairwise order, and the bits, of np.mean
-    buf = np.empty(u.size)
-    norms = []
-    for m in usable:
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            if periodic:
-                inc = buf.reshape(u.shape)
-                np.subtract(u[:, :, m:], u[:, :, :-m], out=inc[:, :, :-m])
-                np.subtract(u[:, :, :m], u[:, :, -m:], out=inc[:, :, -m:])
-            else:
-                shape = list(u.shape)
-                shape[ax] -= m
-                inc = buf[: math.prod(shape)].reshape(shape)
-                hi = u[:, m:] if ax == 1 else u[:, :, m:]
-                lo = u[:, :-m] if ax == 1 else u[:, :, :-m]
-                np.subtract(hi, lo, out=inc)
-            np.abs(inc, out=inc)
-            inc **= p  # the in-place form of ``inc ** p``, with the same fast paths
-            moment = np.mean(inc)
-        if not np.isfinite(moment):
-            raise NumericalError(f"increment moment of order {p} at lag {m} is not finite")
-        if moment <= 0.0:
-            # on a field that varies, rounding lost them: |increment|^p underflowed,
-            # or the increments lie below the values' spacing (a huge t flattens G)
-            if u.min() < u.max():
-                raise NumericalError(
-                    f"{axis} increments at lag {m} round to 0 on a field that varies"
-                )
-            raise InputError("increments vanish; the exponent is undefined")
-        norms.append(moment ** (1.0 / p))
-    norms = np.asarray(norms)
-    xs = np.log(lag_spacings)
-    design = np.column_stack([xs, np.ones_like(xs)])
-    coef, *_ = np.linalg.lstsq(design, np.log(norms), rcond=None)
-    return HolderFit(
-        exponent=float(coef[0]),
-        lags=tuple(usable),
-        lag_spacings=lag_spacings,
-        norms=norms,
-        p=p,
-        axis=axis,
-    )
+    usable, lag_spacings = _increment_lags(spacing, p, lags, u.shape[ax], periodic)
+    sums = _increment_sums(u, ax, p, usable, periodic)
+    return _holder_fit(sums, u.min() < u.max(), usable, lag_spacings, p, axis)
 
 
 def linear_heat_holder_study(
@@ -425,7 +474,13 @@ def linear_heat_holder_study(
     Simulates the solution over a window of time nodes ending well inside
     the horizon (default base: 3/4 of the way), wide enough that every time
     lag sees many base points, and fits both exponents on the ensemble.
-    Returns the two fits plus the window metadata.
+    Each replica block draws and convolves its sheets one ``row_chunks``
+    chunk at a time (``linear_heat_node_chunks``) and adds every chunk's
+    sums of |increment|^p, at each time lag and each periodic space lag,
+    into block-local sums, with the values' min and max for the fit's
+    vanishing-increment check. The block sums are added in block order, so
+    the fits do not depend on the thread count, and no per-replica field
+    outlives a chunk. Returns the two fits plus the window metadata.
     """
     if not time_lags or not space_lags:
         raise InputError(
@@ -442,16 +497,31 @@ def linear_heat_holder_study(
             "lower the base node or the largest time lag"
         )
     window = np.arange(k0, k0 + 2 * max_lag + 1)
-    fields = linear_heat_node_samples(
-        grid, window, replicas, rng, block_size=block_size, threads=threads
-    )
-    time_fit = holder_estimate(fields, grid.time.dt, "time", p, time_lags)
-    space_fit = holder_estimate(
-        fields, grid.dx, "space", p, space_lags, periodic_space=True
-    )
+    time_axis = _increment_lags(grid.time.dt, p, time_lags, window.size, False)
+    space_axis = _increment_lags(grid.dx, p, space_lags, grid.n_cells, True)
+    axes = ((1, time_axis[0], False), (2, space_axis[0], True))
+    chunks = linear_heat_node_chunks(grid, window)
+
+    def block(gen, count):
+        sums = [np.zeros((2, len(lags))) for _, lags, _ in axes]
+        lo, hi = np.inf, -np.inf
+        for _, _, u in chunks(gen, count):
+            for acc, (ax, lags, periodic) in zip(sums, axes):
+                acc += _increment_sums(u, ax, p, lags, periodic)
+            lo, hi = min(lo, u.min()), max(hi, u.max())
+        return sums, lo, hi
+
+    totals = [np.zeros((2, len(lags))) for _, lags, _ in axes]
+    lo, hi = np.inf, -np.inf
+    for _, (sums, block_lo, block_hi) in replica_blocks(
+        replicas, block, rng, block_size, threads
+    ):
+        for acc, block_sums in zip(totals, sums):
+            acc += block_sums
+        lo, hi = min(lo, block_lo), max(hi, block_hi)
     return {
-        "time_fit": time_fit,
-        "space_fit": space_fit,
+        "time_fit": _holder_fit(totals[0], lo < hi, *time_axis, p, "time"),
+        "space_fit": _holder_fit(totals[1], lo < hi, *space_axis, p, "space"),
         "window_nodes": (int(window[0]), int(window[-1])),
         "replicas": replicas,
     }

@@ -18,7 +18,8 @@ behind the linear heat solution, its node samples and every Picard iterate
 is evaluated by one causal convolution core, _LinearHeatKernels: an rFFT in
 space and an FFT along time zero-padded to twice the number of steps, so the
 causal Toeplitz sum never wraps. One pass costs O(nt log nt * nx) plus the
-space transforms, in place of the O(nt^2 * nx) lag sum.
+space transforms, in place of the O(nt^2 * nx) lag sum; the padded time
+spectra are taken a chunk of spatial frequencies at a time.
 
 Chaos-series closed forms. The multiplicative-noise chaos term of order n
 for the 1-d heat model has variance (t/4)^(n/2) / Gamma(n/2 + 1); summing
@@ -300,8 +301,6 @@ def chaos_geometric(
 
 
 def _periodic_displacements(grid: SpaceTimeGrid) -> np.ndarray:
-    if not math.isfinite(grid.dx):
-        raise NumericalError(f"cell width 2 * {grid.half_width} / {grid.n_cells} overflows")
     n = grid.n_cells
     m = np.arange(n)
     return (((m + n // 2) % n) - n // 2) * grid.dx
@@ -347,20 +346,30 @@ class _LinearHeatKernels:
         """u at the time nodes ``rows`` for integrands phi of shape (R, nt, nx).
 
         Returns shape (R, len(rows), nx); node 0 is exactly zero. Replicas go
-        through in ``rng.row_chunks``, so the padded spectra of one chunk stay
-        near ``rng.CHUNK_BYTES`` (at least two replicas' worth).
+        through in ``rng.row_chunks`` chunks (at least two replicas' worth),
+        and each chunk's padded time FFT, product with the kernel spectrum and
+        inverse FFT run over ``row_chunks`` of its spatial frequencies, so the
+        padded spectra held at once stay near ``rng.CHUNK_BYTES``. Every
+        time-FFT line is transformed on its own, so the split leaves the bits
+        as one whole-spectrum pass would.
         """
         rows = np.asarray(rows, dtype=int)
         count, nt, nx = phi.shape
         nf, n_fft = self.spectrum.shape
         out = np.empty((count, rows.size, nx))
         for lo, hi in row_chunks(count, 16 * nf * n_fft):
-            spec = np.zeros((hi - lo, nf, n_fft), dtype=complex)
-            spec[:, :, :nt] = np.fft.rfft(phi[lo:hi], axis=2).transpose(0, 2, 1)
-            np.fft.fft(spec, axis=2, out=spec)
-            spec *= self.spectrum
-            np.fft.ifft(spec, axis=2, out=spec)
-            out[lo:hi] = np.fft.irfft(spec[:, :, rows].transpose(0, 2, 1), n=nx, axis=2)
+            space = np.fft.rfft(phi[lo:hi], axis=2).transpose(0, 2, 1)  # (c, nf, nt)
+            parts = []
+            for a, b in row_chunks(nf, 16 * (hi - lo) * n_fft):
+                spec = np.zeros((hi - lo, b - a, n_fft), dtype=complex)
+                spec[:, :, :nt] = space[:, a:b]
+                np.fft.fft(spec, axis=2, out=spec)
+                spec *= self.spectrum[a:b]
+                np.fft.ifft(spec, axis=2, out=spec)
+                parts.append(spec[:, :, rows])
+            # a whole spectrum in one chunk (Picard's grid) is used without a copy
+            picked = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+            np.fft.irfft(picked.transpose(0, 2, 1), n=nx, axis=2, out=out[lo:hi])
         out[:, rows == 0] = 0.0
         return out
 
@@ -430,6 +439,32 @@ def linear_heat_point_samples(
     return map_replica_blocks(replicas, block, rng, block_size, threads)
 
 
+def linear_heat_node_chunks(grid: SpaceTimeGrid, node_indices: np.ndarray):
+    """The chunked sampler behind ``linear_heat_node_samples``.
+
+    Returns ``chunks(gen, count)``, a generator over ``(lo, hi, u)``: it
+    draws the white-noise sheets of replicas lo..hi-1 of a block of
+    ``count``, one ``rng.row_chunks`` chunk at a time in order from the
+    block's generator, and yields u at the nodes, shape (hi - lo,
+    len(nodes), nx). Block functions that reduce each chunk as it comes
+    hold no per-replica array beyond one chunk.
+    """
+    nodes = np.asarray(node_indices, dtype=int)
+    nt, nx = grid.time.n_steps, grid.n_cells
+    if np.any(nodes < 0) or np.any(nodes > nt):
+        raise InputError("node indices outside the grid")
+    kernels = _LinearHeatKernels(grid)
+    scale = math.sqrt(grid.cell_volume)
+
+    def chunks(gen, count):
+        for lo, hi in row_chunks(count, 8 * nt * nx):
+            w = gen.standard_normal((hi - lo, nt, nx))
+            w *= scale
+            yield lo, hi, kernels.convolve(w, nodes)
+
+    return chunks
+
+
 def linear_heat_node_samples(
     grid: SpaceTimeGrid,
     node_indices: np.ndarray,
@@ -440,23 +475,16 @@ def linear_heat_node_samples(
 ) -> np.ndarray:
     """Samples of u at several time nodes, all x: shape (R, len(nodes), nx).
 
-    Used by regularity studies that need a window of output times without
-    the full field history.
+    Each replica block draws and convolves one chunk of sheets at a time
+    (``linear_heat_node_chunks``), without the full field history.
     """
-    nodes = np.asarray(node_indices, dtype=int)
-    nt, nx = grid.time.n_steps, grid.n_cells
-    if np.any(nodes < 0) or np.any(nodes > nt):
-        raise InputError("node indices outside the grid")
-    kernels = _LinearHeatKernels(grid)
-    scale = math.sqrt(grid.cell_volume)
+    chunks = linear_heat_node_chunks(grid, node_indices)
+    shape = (np.size(node_indices), grid.n_cells)
 
     def block(gen, count):
-        # one chunk of sheets at a time, drawn in order from the block's generator
-        out = np.empty((count, nodes.size, nx))
-        for lo, hi in row_chunks(count, 8 * nt * nx):
-            w = gen.standard_normal((hi - lo, nt, nx))
-            w *= scale
-            out[lo:hi] = kernels.convolve(w, nodes)
+        out = np.empty((count,) + shape)
+        for lo, hi, u in chunks(gen, count):
+            out[lo:hi] = u
         return out
 
     return map_replica_blocks(replicas, block, rng, block_size, threads)

@@ -28,7 +28,12 @@ from spde_lab.moments import (
 )
 from spde_lab.noise import NoiseSpec, sample_bm_paths, sample_fbm_paths, time_factor_matrix
 from spde_lab.rng import RngStream, map_replica_blocks, row_chunks
-from spde_lab.solvers import geometric_bm, geometric_fbm, pam_log_second_moment
+from spde_lab.solvers import (
+    geometric_bm,
+    geometric_fbm,
+    linear_heat_node_samples,
+    pam_log_second_moment,
+)
 
 
 class TestEstimateMoments:
@@ -445,6 +450,11 @@ class TestHolderEstimate:
         fit = holder_estimate(fields, spacing=1 / 64, axis="time", lags=(2, 4, 8, 16))
         assert fit.exponent == pytest.approx(1.0, abs=1e-10)
 
+    def test_empty_fields_rejected(self):
+        # no replicas: the moments would be 0 / 0
+        with pytest.raises(InputError, match="non-empty"):
+            holder_estimate(np.empty((0, 33, 8)), 0.1, axis="time", lags=(2, 4, 8))
+
     def test_constant_field_rejected(self):
         fields = np.ones((2, 33, 8))
         with pytest.raises(InputError):
@@ -508,3 +518,71 @@ class TestHolderEstimate:
         )
         assert 0.15 < study["time_fit"].exponent < 0.40
         assert 0.35 < study["space_fit"].exponent < 0.65
+
+
+def old_holder_study(grid, replicas, rng, time_lags, space_lags, base_node, p, block_size,
+                     threads):
+    """The study as it was: every replica's window of nodes, then two holder_estimate calls."""
+    nt = grid.time.n_steps
+    k0 = (3 * nt) // 4 if base_node is None else base_node
+    window = np.arange(k0, k0 + 2 * max(time_lags) + 1)
+    fields = linear_heat_node_samples(grid, window, replicas, rng, block_size, threads)
+    time_fit = holder_estimate(fields, grid.time.dt, "time", p, time_lags)
+    space_fit = holder_estimate(fields, grid.dx, "space", p, space_lags, periodic_space=True)
+    return time_fit, space_fit, (int(window[0]), int(window[-1]))
+
+
+class TestHolderStudy:
+    # 512 kB sheets make two-row chunks: 13 replicas in blocks of 5 take the
+    # chunks [0, 2), [2, 5) and a lone-row merge, plus a three-replica last block
+    GRID = SpaceTimeGrid(TimeGrid(0.25, 256), 4.0, 256)
+
+    @pytest.mark.parametrize("p, base_node, threads", [(2.0, None, 1), (3.5, 40, 2), (1, 100, 1)])
+    def test_matches_node_samples_composition(self, p, base_node, threads):
+        # space lag 200 exceeds 256 // 2 and is dropped on both sides
+        kwargs = dict(time_lags=(2, 4, 8, 16), space_lags=(2, 4, 8, 200), base_node=base_node,
+                      p=p, block_size=5, threads=threads)
+        study = linear_heat_holder_study(self.GRID, 13, RngStream(21), **kwargs)
+        *fits, window = old_holder_study(self.GRID, 13, RngStream(21), **kwargs)
+        assert study["window_nodes"] == window
+        assert study["replicas"] == 13
+        for fit, ref in zip((study["time_fit"], study["space_fit"]), fits):
+            assert (fit.axis, fit.p, fit.lags) == (ref.axis, ref.p, ref.lags)
+            assert fit.lag_spacings.tobytes() == ref.lag_spacings.tobytes()
+            assert fit.exponent == pytest.approx(ref.exponent, rel=1e-13, abs=0)
+            np.testing.assert_allclose(fit.norms, ref.norms, rtol=1e-13, atol=0)
+
+    def test_bit_identical_at_one_and_two_threads(self):
+        a, b = (
+            linear_heat_holder_study(self.GRID, 11, RngStream(22), time_lags=(2, 4, 8),
+                                     space_lags=(2, 4, 8), block_size=3, threads=t)
+            for t in (1, 2)
+        )
+        for key in ("time_fit", "space_fit"):
+            assert a[key].exponent == b[key].exponent
+            assert a[key].norms.tobytes() == b[key].norms.tobytes()
+
+    def test_peak_below_half_the_window_array(self):
+        # 128 replicas x 129 window nodes x 256 cells is a 33.8 MB array, which
+        # the study used to hold, with a buffer of the same size for increments
+        replicas, window, nx = 128, 129, 256
+        whole = 8 * replicas * window * nx
+        assert whole >= 32 * 2**20
+        tracemalloc.start()
+        try:
+            linear_heat_holder_study(self.GRID, replicas, RngStream(23),
+                                     time_lags=(4, 8, 16, 32, 64), space_lags=(2, 4, 8, 16),
+                                     base_node=128)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * whole
+
+    @pytest.mark.parametrize("p", [0.5, np.nan])
+    def test_rejects_moment_order_before_sampling(self, p, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled before checking the moment order")
+
+        monkeypatch.setattr(moments, "linear_heat_node_chunks", no_sampling)
+        with pytest.raises(DomainError, match="moment order"):
+            linear_heat_holder_study(self.GRID, 2, RngStream(0), p=p)

@@ -360,6 +360,23 @@ def old_node_samples(grid, nodes, replicas, rng, block_size, threads):
     return map_replica_blocks(replicas, block, rng, block_size, threads)
 
 
+def whole_spectrum_convolve(kernels, phi, rows):
+    """_LinearHeatKernels.convolve as it was, one whole (rows, nf, 2 nt) spectrum; the oracle."""
+    rows = np.asarray(rows, dtype=int)
+    count, nt, nx = phi.shape
+    nf, n_fft = kernels.spectrum.shape
+    out = np.empty((count, rows.size, nx))
+    for lo, hi in rng.row_chunks(count, 16 * nf * n_fft):
+        spec = np.zeros((hi - lo, nf, n_fft), dtype=complex)
+        spec[:, :, :nt] = np.fft.rfft(phi[lo:hi], axis=2).transpose(0, 2, 1)
+        np.fft.fft(spec, axis=2, out=spec)
+        spec *= kernels.spectrum
+        np.fft.ifft(spec, axis=2, out=spec)
+        out[lo:hi] = np.fft.irfft(spec[:, :, rows].transpose(0, 2, 1), n=nx, axis=2)
+    out[:, rows == 0] = 0.0
+    return out
+
+
 CORE_GRIDS = [
     pytest.param(SpaceTimeGrid(TimeGrid(0.25, 16), 4.0, 24), id="nx24"),
     pytest.param(SpaceTimeGrid(TimeGrid(0.25, 16), 4.0, 40), id="nx40"),
@@ -411,6 +428,24 @@ class TestLinearHeat:
         x = linear_heat_node_samples(grid, nodes, 11, RngStream(15), 5, threads)
         ref = old_node_samples(grid, nodes, 11, RngStream(15), 5, threads)
         assert x.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("grid, count, n_freq_chunks", [
+        # two-replica chunks of a 4 MB spectrum split into four frequency chunks,
+        # the last with a lone frequency merged in (257 = 3 * 64 + 65)
+        pytest.param(SpaceTimeGrid(TimeGrid(0.25, 256), 4.0, 512), 5, 4, id="hoelder-like"),
+        # Picard's chunks of 3 replicas: the whole spectrum is one chunk
+        pytest.param(SpaceTimeGrid(TimeGrid(0.5, 64), 6.0, 128), 3, 1, id="picard-grid"),
+    ])
+    def test_convolve_bit_identical_to_whole_spectrum(self, grid, count, n_freq_chunks):
+        kernels = solvers._LinearHeatKernels(grid)
+        nf, n_fft = kernels.spectrum.shape
+        lo, hi = rng.row_chunks(count, 16 * nf * n_fft)[0]
+        assert len(rng.row_chunks(nf, 16 * (hi - lo) * n_fft)) == n_freq_chunks
+        nt = grid.time.n_steps
+        phi = RngStream(17).generator().standard_normal((count, nt, grid.n_cells))
+        for rows in (np.arange(nt + 1), np.array([0, 3, nt // 2, nt])):
+            u = kernels.convolve(phi, rows)
+            assert u.tobytes() == whole_spectrum_convolve(kernels, phi, rows).tobytes()
 
     def test_node_samples_peak_below_half_a_block(self):
         # one block of 64 sheets is 32 MB of noise, which a whole-block draw holds at once
@@ -652,12 +687,10 @@ class TestPamEuler:
             solve_pam_euler(grid, np.full((1,) + grid.cell_shape(), 1e200))
 
     def test_infinite_cell_width_raises(self):
-        # 2 * 1e308 / 4 overflows; a displacement of 0 * inf would be nan
-        grid = SpaceTimeGrid(TimeGrid(0.25, 4), 1e308, 4)
+        # 2 * 1e308 / 4 overflows, and the grid refuses it, so no solver ever
+        # takes a displacement of 0 * inf = nan
         with pytest.raises(NumericalError, match="cell width"):
-            solve_pam_euler(grid, np.zeros((1,) + grid.cell_shape()))
-        with pytest.raises(NumericalError, match="cell width"):
-            linear_heat_node_samples(grid, np.arange(3), 2, RngStream(0))
+            SpaceTimeGrid(TimeGrid(0.25, 4), 1e308, 4)
 
     def test_rejects_wrong_sheet_shape(self):
         grid = SpaceTimeGrid(TimeGrid(0.25, 16), 4.0, 32)
@@ -681,15 +714,19 @@ class TestPamEuler:
 
     def test_second_moment_matches_chaos_sum(self):
         # E[u(0.5,0)^2] vs 2 e^(t/4) Phi(sqrt(t/2)) = 1.56706 at dt = 2^-10,
-        # within 5% + 3 stderr
+        # within 5% + 3 stderr. Block b of 250 replicas draws from
+        # RngStream(56).substream(b) = RngStream(56, b); two blocks run at a
+        # time, each holding its 524 MB of noise, and are joined in block order
         grid = SpaceTimeGrid(TimeGrid(0.5, 512), 6.0, 512)
         target = pam_second_moment_closed_form(0.5)
-        sq = []
-        for b in range(6):
-            gen = RngStream(56, b).generator()
-            w = gen.standard_normal((250, 512, 512)) * math.sqrt(grid.cell_volume)
-            sq.append(solve_pam_euler(grid, w)[:, 256] ** 2)
-        sq = np.concatenate(sq)
+        scale = math.sqrt(grid.cell_volume)
+
+        def block(gen, count):
+            w = gen.standard_normal((count, 512, 512))
+            w *= scale
+            return solve_pam_euler(grid, w)[:, 256] ** 2
+
+        sq = map_replica_blocks(6 * 250, block, RngStream(56), block_size=250, threads=2)
         se = sq.std(ddof=1) / math.sqrt(sq.size)
         assert abs(sq.mean() - target) <= 3.0 * se + 0.05 * target
 
