@@ -161,15 +161,16 @@ def _resolve_threads(value) -> int:
 # ---------------------------------------------------------------------------
 
 
-_PAM_BLOCK = 64  # pam-white replicas per block
+_PAM_BLOCK = 64  # pam-white replicas per noise stream block
+_PAM_CHUNK = 32  # replicas of a block drawn and marched at a time
 
 
 def _auto_pam_grid(t: float, n_steps: int, half_width: float | None) -> SpaceTimeGrid:
     time = TimeGrid(t, n_steps)
     half = 8.0 * math.sqrt(t) if half_width is None else half_width
     cells = 2 * half / (0.8 * math.sqrt(time.dt))
-    # a block's noise array must stay within numpy's largest array, sys.maxsize bytes
-    if not cells * n_steps * _PAM_BLOCK * 8 < sys.maxsize:
+    # a chunk's noise buffer must stay within numpy's largest array, sys.maxsize bytes
+    if not cells * n_steps * _PAM_CHUNK * 8 < sys.maxsize:
         raise NumericalError(f"--half-width {half} needs {cells:.3g} cells, beyond any array")
     n_cells = int(np.ceil(cells))
     n_cells += n_cells % 2
@@ -212,8 +213,16 @@ def run_simulate(cfg: dict, out: Path, threads: int = 1) -> None:
             mid = grid.n_cells // 2
 
             def block(gen, count, grid=grid, vol=vol, mid=mid):
-                w = gen.standard_normal((count,) + grid.cell_shape()) * vol
-                return solve_pam_euler(grid, w)[:, mid]
+                # successive draws into one chunk buffer give the numbers of one
+                # whole-block draw, so the samples do not depend on the chunk size
+                buf = np.empty((min(count, _PAM_CHUNK),) + grid.cell_shape())
+                x = np.empty(count)
+                for lo in range(0, count, _PAM_CHUNK):
+                    w = buf[: min(count - lo, _PAM_CHUNK)]
+                    gen.standard_normal(out=w)
+                    w *= vol
+                    x[lo : lo + len(w)] = solve_pam_euler(grid, w)[:, mid]
+                return x
 
             x = map_replica_blocks(
                 replicas, block, stream.substream(i << 32), block_size=_PAM_BLOCK, threads=threads

@@ -147,9 +147,10 @@ def ito_sum(integrand_left: np.ndarray, increments: np.ndarray):
     return np.sum(x * db, axis=-1)
 
 
-def _ito_cumsum(phi: np.ndarray) -> np.ndarray:
-    """Node values of the Ito sums of phi (R, nt): node 0 is 0, node k sums cells < k."""
-    out = np.zeros((phi.shape[0], phi.shape[1] + 1) + phi.shape[2:])
+def _ito_cumsum(phi: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Node values of the Ito sums of phi (R, nt), written into ``out`` (R, nt + 1):
+    node 0 is 0, node k sums cells < k."""
+    out[:, 0] = 0.0
     np.cumsum(phi, axis=1, out=out[:, 1:])
     return out
 
@@ -162,15 +163,17 @@ def _picard_trace(
     u_(n+1) = causal_sum(sigma(u_n at left endpoints) * noise) + initial,
 
     one noise array of shape ``cells`` (time first) times ``scale`` per
-    replica; ``causal_sum`` maps (R, nt, ...) integrands to (R, nt+1, ...)
-    node values. Each replica block takes its replicas in ``rng.row_chunks``
-    chunks through all ``n_iter`` iterations, drawing each chunk's noise in
-    order from the block's generator, and adds every replica's squared
-    successive differences, in replica order, into a block-local
-    (n_iter, nodes) sum. It returns that sum with its first replica's final
-    path, and the block sums are added in block order as they arrive. The
-    blocks are fixed by ``block_size``, so the result does not depend on the
-    thread count, and no per-replica array outlives a chunk.
+    replica; ``causal_sum(phi, out)`` writes the (R, nt+1, ...) node values
+    of (R, nt, ...) integrands into ``out``. Each replica block takes its
+    replicas in ``rng.row_chunks`` chunks through all ``n_iter`` iterations,
+    drawing each chunk's noise in order from the block's generator, and adds
+    every replica's squared successive differences, in replica order, into a
+    block-local (n_iter, nodes) sum. One noise, one integrand and two iterate
+    arrays, each one chunk long, serve every chunk and iteration of a block.
+    It returns that sum with its first replica's final path, and the block
+    sums are added in block order as they arrive. The blocks are fixed by
+    ``block_size``, so the result does not depend on the thread count, and
+    no per-replica array outlives a chunk.
     """
     if n_iter < 1:
         raise InputError(f"n_iter must be >= 1, got {n_iter}")
@@ -178,21 +181,29 @@ def _picard_trace(
 
     def block(gen, count):
         sq_sum = np.zeros((n_iter,) + nodes)
+        # a chunk's noise, integrand and two iterates stay near rng.CHUNK_BYTES
+        chunks = row_chunks(count, 4 * 8 * math.prod(nodes))
+        rows = max(hi - lo for lo, hi in chunks)
+        noise_buf = np.empty((rows,) + cells)
+        phi_buf = np.empty_like(noise_buf)
+        iterates = np.empty((2, rows) + nodes)
         with np.errstate(over="ignore", invalid="ignore"):  # checked after the reduction
-            # a chunk's noise, integrand and two iterates stay near rng.CHUNK_BYTES
-            for lo, hi in row_chunks(count, 4 * 8 * math.prod(nodes)):
-                noise = gen.standard_normal((hi - lo,) + cells)
+            for lo, hi in chunks:
+                noise, phi = noise_buf[: hi - lo], phi_buf[: hi - lo]
+                gen.standard_normal(out=noise)
                 noise *= scale
-                u_prev = np.zeros((hi - lo,) + nodes)
+                u_prev, u_next = iterates[:, : hi - lo]
+                u_prev.fill(0.0)
                 for m in range(n_iter):
-                    u_next = causal_sum(np.asarray(sigma(u_prev[:, :-1])) * noise)
+                    np.multiply(sigma(u_prev[:, :-1]), noise, out=phi)
+                    causal_sum(phi, u_next)
                     u_next += initial
                     # fl(a - b) = -fl(b - a), so the square is that of u_next - u_prev
                     np.subtract(u_prev, u_next, out=u_prev)
                     np.square(u_prev, out=u_prev)
                     for sq in u_prev:
                         sq_sum[m] += sq
-                    u_prev = u_next
+                    u_prev, u_next = u_next, u_prev
                 if lo == 0:
                     first = u_prev[0].copy()
         return sq_sum, first
@@ -342,10 +353,11 @@ class _LinearHeatKernels:
         # time axis last: shape (n_cells // 2 + 1, 2 nt)
         self.spectrum = np.fft.fft(np.fft.rfft(g, axis=1).T, n=2 * grid.time.n_steps, axis=1)
 
-    def convolve(self, phi: np.ndarray, rows) -> np.ndarray:
+    def convolve(self, phi: np.ndarray, rows, out: np.ndarray | None = None) -> np.ndarray:
         """u at the time nodes ``rows`` for integrands phi of shape (R, nt, nx).
 
-        Returns shape (R, len(rows), nx); node 0 is exactly zero. Replicas go
+        Returns shape (R, len(rows), nx), written into ``out`` when given;
+        node 0 is exactly zero. Replicas go
         through in ``rng.row_chunks`` chunks (at least two replicas' worth),
         and each chunk's padded time FFT, product with the kernel spectrum and
         inverse FFT run over ``row_chunks`` of its spatial frequencies, so the
@@ -356,7 +368,8 @@ class _LinearHeatKernels:
         rows = np.asarray(rows, dtype=int)
         count, nt, nx = phi.shape
         nf, n_fft = self.spectrum.shape
-        out = np.empty((count, rows.size, nx))
+        if out is None:
+            out = np.empty((count, rows.size, nx))
         for lo, hi in row_chunks(count, 16 * nf * n_fft):
             space = np.fft.rfft(phi[lo:hi], axis=2).transpose(0, 2, 1)  # (c, nf, nt)
             parts = []
@@ -511,7 +524,7 @@ def solve_nonlinear_heat_picard(
     kernels = _LinearHeatKernels(grid)
     nodes = np.arange(grid.time.n_steps + 1)
     return _picard_trace(
-        sigma, lambda phi: kernels.convolve(phi, nodes), grid.cell_shape(),
+        sigma, lambda phi, out: kernels.convolve(phi, nodes, out), grid.cell_shape(),
         math.sqrt(grid.cell_volume), rng, n_iter, replicas, initial, block_size, threads,
     )
 
@@ -592,10 +605,22 @@ def pam_chaos_series(t: float, n_terms: int) -> ChaosSeries:
 
 
 def _heat_step(grid: SpaceTimeGrid):
-    """One periodic heat step v -> sum_y G(dt, x-y) v(y) along the last axis, by rFFT."""
+    """One periodic heat step v -> sum_y G(dt, x-y) v(y) along the last axis, by rFFT.
+
+    ``step(v, out=None, spec=None)`` puts v's rFFT into ``spec`` (complex,
+    last axis n_cells // 2 + 1) and the stepped values into ``out`` when they
+    are given, so a march in arrays the caller owns allocates nothing per step.
+    """
     kern_hat = np.fft.rfft(_heat_kernel_vector(grid, grid.time.dt))
     nx = grid.n_cells
-    return lambda v: np.fft.irfft(kern_hat * np.fft.rfft(v, axis=-1), n=nx, axis=-1)
+
+    def step(v, out=None, spec=None):
+        spec = np.fft.rfft(v, axis=-1, out=spec)
+        # kernel first: a complex product's bits depend on the operand order
+        np.multiply(kern_hat, spec, out=spec)
+        return np.fft.irfft(spec, n=nx, axis=-1, out=out)
+
+    return step
 
 
 def solve_pam_euler(grid: SpaceTimeGrid, noise: np.ndarray, initial: float = 1.0) -> np.ndarray:
@@ -620,9 +645,14 @@ def solve_pam_euler(grid: SpaceTimeGrid, noise: np.ndarray, initial: float = 1.0
         )
     step = _heat_step(grid)
     u = np.full((w.shape[0], grid.n_cells), float(initial))
+    # every step reuses one product and one spectrum array; noise is only read
+    v = np.empty_like(u)
+    spec = np.empty((w.shape[0], grid.n_cells // 2 + 1), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # checked next
         for k in range(grid.time.n_steps):
-            u = step(u * (grid.dx + w[:, k]))
+            np.add(w[:, k], grid.dx, out=v)
+            v *= u
+            step(v, out=u, spec=spec)
     if not np.all(np.isfinite(u)):
         raise NumericalError("mild Euler marching overflows")
     return u
@@ -667,18 +697,31 @@ class WickPamSampler:
     def sample_chaos(self, rng, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(U1, U2) at the final time node, each of shape (n, n_cells)."""
         w = self.sampler.sample_batch(rng, n)
-        dx = self.grid.dx
-        u1 = np.zeros((n, self.grid.n_cells))
+        dx, nt, nx = self.grid.dx, self.grid.time.n_steps, self.grid.n_cells
+        u1 = np.zeros((n, nx))
         u2 = np.zeros_like(u1)
+        # both levels step through two product arrays and one spectrum
+        v, vw = np.empty_like(u1), np.empty_like(u1)
+        spec = np.empty((n, nx // 2 + 1), dtype=complex)
         # the sampler's einsum leaves space outermost and time innermost in
         # memory, so w[:, k] is a strided gather; a time-major copy of 8 steps
-        # at a time (one cache line per replica and cell) makes each step
-        # contiguous without a second whole-batch array, which kept RSS up
-        for k0 in range(0, self.grid.time.n_steps, 8):
-            steps = np.ascontiguousarray(w[:, k0 : k0 + 8].transpose(1, 0, 2))
+        # at a time (one cache line per replica and cell), into one reused
+        # buffer, makes each step contiguous without a second whole-batch
+        # array, which kept RSS up
+        steps_buf = np.empty((min(8, nt), n, nx))
+        for k0 in range(0, nt, 8):
+            steps = steps_buf[: min(8, nt - k0)]
+            np.copyto(steps, w[:, k0 : k0 + 8].transpose(1, 0, 2))
             for k, w_k in enumerate(steps, k0):
-                u2 = self._step(u2 * dx + u1 * w_k - self.tau[k])
-                u1 = self._step(u1 * dx + w_k)
+                # u2 <- step(u2 dx + u1 w_k - tau[k]), then u1 <- step(u1 dx + w_k)
+                np.multiply(u2, dx, out=v)
+                np.multiply(u1, w_k, out=vw)
+                v += vw
+                v -= self.tau[k]
+                self._step(v, out=u2, spec=spec)
+                np.multiply(u1, dx, out=v)
+                v += w_k
+                self._step(v, out=u1, spec=spec)
         return u1, u2
 
     def second_moment_samples(self, rng, n: int):

@@ -229,6 +229,31 @@ class TestSimulateCommand:
         est = float(lines[-1].split(",")[3])
         assert 0.5 < est < 3.0  # closed form at t=0.25 is ~1.26
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_pam_white_draws_one_chunk_at_a_time(self, tmp_path, monkeypatch, threads):
+        # every standard_normal request of a pam-white run, across its
+        # 64-replica blocks: none larger than 32 replicas' sheets, and all of
+        # them together one sheet per replica
+        requests = []
+        real_generator = spde_lab.rng.RngStream.generator
+
+        class RecordingGenerator:
+            def __init__(self, gen):
+                self._gen = gen
+
+            def standard_normal(self, size=None, dtype=np.float64, out=None):
+                requests.append(int(np.prod(out.shape if size is None else size)))
+                return self._gen.standard_normal(size, dtype, out)
+
+        monkeypatch.setattr(spde_lab.rng.RngStream, "generator",
+                            lambda self: RecordingGenerator(real_generator(self)))
+        assert run(["simulate", "--model", "pam-white", "--t", "0.25", "--n-steps", "16",
+                    "--replicas", "100", "--seed", "4", "--threads", threads,
+                    "--out", tmp_path]) == 0
+        sheet = 16 * cli._auto_pam_grid(0.25, 16, None).n_cells
+        assert max(requests) <= 32 * sheet
+        assert sum(requests) == 100 * sheet
+
     def test_unknown_config_keys_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"command": "simulate", "seed": 1, "bogus_key": 2}))

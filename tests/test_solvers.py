@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spde_lab import rng, solvers
+from spde_lab import cli, rng, solvers
 from spde_lab.errors import CapabilityError, DomainError, InputError, NumericalError
 from spde_lab.field import Field
 from spde_lab.grids import SpaceTimeGrid, TimeGrid
@@ -677,8 +677,48 @@ class TestPamEuler:
         grid = SpaceTimeGrid(TimeGrid(0.25, 16), 4.0, 32)
         w = RngStream(45).generator().standard_normal((5,) + grid.cell_shape())
         w *= math.sqrt(grid.cell_volume)
+        w_before = w.copy()
         u = solve_pam_euler(grid, w, initial)
+        assert w.tobytes() == w_before.tobytes()  # the march only reads its noise
         assert u.tobytes() == old_pam_euler_final_batch(grid, w, initial).tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_cli_pam_white_matches_whole_block_draws(self, tmp_path, monkeypatch, threads):
+        # the CLI draws each 64-replica block 32 replicas at a time; the
+        # reference draws the whole block at once and marches it with the old
+        # marcher. 100 replicas end in a short block (36) and a short chunk (4)
+        ts, replicas, seed = (0.25, 0.5), 100, 7
+        argv = ["simulate", "--model", "pam-white", "--t", "0.25,0.5", "--p", "1,2",
+                "--n-steps", "16", "--replicas", str(replicas), "--seed", str(seed),
+                "--threads", str(threads)]
+
+        def old_block(grid):
+            def block(gen, count):
+                w = gen.standard_normal((count,) + grid.cell_shape()) * math.sqrt(grid.cell_volume)
+                return old_pam_euler_final_batch(grid, w)[:, grid.n_cells // 2]
+            return block
+
+        refs = [
+            map_replica_blocks(replicas, old_block(cli._auto_pam_grid(t, 16, None)),
+                               RngStream(seed).substream(i << 32), block_size=64, threads=threads)
+            for i, t in enumerate(ts)
+        ]
+        samples = []
+        real_map = cli.map_replica_blocks
+
+        def recording_map(*args, **kwargs):
+            samples.append(real_map(*args, **kwargs))
+            return samples[-1]
+
+        monkeypatch.setattr(cli, "map_replica_blocks", recording_map)
+        assert cli.main(argv + ["--out", str(tmp_path / "new")]) == 0
+        assert [x.tobytes() for x in samples] == [x.tobytes() for x in refs]
+        # the artifacts written from the reference samples are the same bytes
+        old = iter(refs)
+        monkeypatch.setattr(cli, "map_replica_blocks", lambda *a, **k: next(old))
+        assert cli.main(argv + ["--out", str(tmp_path / "old")]) == 0
+        for name in ("config.json", "moments.csv", "report.json"):
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
 
     def test_overflow_raises(self):
         # u grows by about dx + w = 1e200 per step and overflows at step 2
@@ -716,15 +756,22 @@ class TestPamEuler:
         # E[u(0.5,0)^2] vs 2 e^(t/4) Phi(sqrt(t/2)) = 1.56706 at dt = 2^-10,
         # within 5% + 3 stderr. Block b of 250 replicas draws from
         # RngStream(56).substream(b) = RngStream(56, b); two blocks run at a
-        # time, each holding its 524 MB of noise, and are joined in block order
+        # time and are joined in block order. Each block draws its noise 32
+        # replicas at a time into one 67 MB buffer, as the CLI does; the
+        # successive draws are the numbers of one whole-block draw
         grid = SpaceTimeGrid(TimeGrid(0.5, 512), 6.0, 512)
         target = pam_second_moment_closed_form(0.5)
         scale = math.sqrt(grid.cell_volume)
 
         def block(gen, count):
-            w = gen.standard_normal((count, 512, 512))
-            w *= scale
-            return solve_pam_euler(grid, w)[:, 256] ** 2
+            buf = np.empty((32, 512, 512))
+            sq = np.empty(count)
+            for lo in range(0, count, 32):
+                w = buf[: min(count - lo, 32)]
+                gen.standard_normal(out=w)
+                w *= scale
+                sq[lo : lo + len(w)] = solve_pam_euler(grid, w)[:, 256] ** 2
+            return sq
 
         sq = map_replica_blocks(6 * 250, block, RngStream(56), block_size=250, threads=2)
         se = sq.std(ddof=1) / math.sqrt(sq.size)
