@@ -204,7 +204,7 @@ def run_simulate(cfg: dict, out: Path, threads: int = 1) -> None:
                 z = gen.standard_normal((count, 1)) * scale
                 return np.exp(z[:, 0] - var / 2.0)
 
-            x = map_replica_blocks(replicas, block, stream.substream(i << 32), threads=threads)
+            x = map_replica_blocks(replicas, block, stream.substream(i), threads=threads)
             if not x.any():  # a lognormal sample is positive
                 raise NumericalError(f"every sample exp(Z - var/2) underflows to 0 at t={t}")
         else:  # pam-white; --model choices admit no other model
@@ -225,7 +225,7 @@ def run_simulate(cfg: dict, out: Path, threads: int = 1) -> None:
                 return x
 
             x = map_replica_blocks(
-                replicas, block, stream.substream(i << 32), block_size=_PAM_BLOCK, threads=threads
+                replicas, block, stream.substream(i), block_size=_PAM_BLOCK, threads=threads
             )
         rows.extend(estimate_moments(x, ps, model=model, t=t))
 

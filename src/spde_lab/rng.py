@@ -1,13 +1,17 @@
 """Seeded, splittable Gaussian sample sources for reproducible Monte Carlo.
 
-Streams are backed by the counter-based Philox generator keyed on
-(seed, stream_id), so each (seed, stream_id) pair yields the same sequence
-regardless of how many workers are running or how work is interleaved, and
-distinct stream ids are statistically independent.
+Streams form a tree: the root ``RngStream(seed)`` has a child per substream
+offset, and each child has children of its own. A stream's generator is SFC64
+seeded by ``np.random.SeedSequence(seed, spawn_key=path)``, where ``path`` is
+the tuple of offsets from the root, so a stream is the same sequence whatever
+the number of workers or the order of the work, and two distinct paths never
+share a key (Salmon et al., SC'11; L'Ecuyer et al., Math. Comput. Simul. 135,
+2017). SFC64 draws a normal in about two thirds of Philox's time.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -18,6 +22,8 @@ import numpy as np
 from .errors import InputError
 
 _MASK64 = (1 << 64) - 1
+# each offset is one 32-bit word of the spawn key, so paths map one-to-one to keys
+_OFFSET_LIMIT = 1 << 32
 
 DEFAULT_BLOCK_SIZE = 256
 
@@ -38,20 +44,32 @@ def row_chunks(count: int, row_bytes: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RngStream:
-    """Deterministic Gaussian source identified by (seed, stream_id)."""
+    """Deterministic Gaussian source: the node ``path`` of the tree rooted at ``seed``.
+
+    ``RngStream(seed, *path)`` is ``RngStream(seed).substream(path[0])...``; so
+    ``RngStream(seed, b)`` is block b of ``RngStream(seed)``. Offsets lie in
+    [0, 2^32); the seed is kept modulo 2^64.
+    """
 
     seed: int
-    stream_id: int = 0
+    path: tuple[int, ...]
+
+    def __init__(self, seed: int, *path: int):
+        path = tuple(operator.index(offset) for offset in path)
+        if any(not 0 <= offset < _OFFSET_LIMIT for offset in path):
+            raise InputError(f"substream offsets must lie in [0, 2^32), got {path}")
+        object.__setattr__(self, "seed", operator.index(seed) & _MASK64)
+        object.__setattr__(self, "path", path)
 
     def generator(self) -> np.random.Generator:
-        key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        seq = np.random.SeedSequence(self.seed, spawn_key=self.path)
+        return np.random.Generator(np.random.SFC64(seq))
 
     def substream(self, offset: int) -> "RngStream":
-        """Derive an independent stream; used to index replicas or blocks."""
-        return RngStream(self.seed, (self.stream_id + offset) & _MASK64)
+        """The child stream at ``offset``; used to index replicas or blocks."""
+        return RngStream(self.seed, *self.path, offset)
 
 
 def as_generator(rng: "RngStream | np.random.Generator") -> np.random.Generator:

@@ -1,3 +1,4 @@
+import itertools
 import struct
 import time
 import tracemalloc
@@ -27,12 +28,56 @@ class TestRngStream:
         assert not np.array_equal(a, b)
 
     def test_stream_independence_correlation(self):
-        # counter-based derivation: distinct ids behave as independent draws
+        # SeedSequence keys hash (seed, path) apart: sibling streams behave as
+        # independent draws
         n = 20000
         a = RngStream(5, 0).generator().standard_normal(n)
         b = RngStream(5, 1).generator().standard_normal(n)
         corr = np.corrcoef(a, b)[0, 1]
         assert abs(corr) < 4.0 / np.sqrt(n)
+
+    def test_no_two_streams_share_their_first_normals(self):
+        # every path of up to three offsets in 0..3, plus the largest offset,
+        # under seeds on both sides of 2^32; (1, 0) and (0, 1) were one stream
+        # when offsets added up, and the root must differ from its child 0
+        paths = [p for n in range(4) for p in itertools.product(range(4), repeat=n)]
+        paths += [(2**32 - 1,), (0, 2**32 - 1), (2**32 - 1, 0)]
+        seen = {}
+        for seed in (0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1):
+            for path in paths:
+                key = RngStream(seed, *path).generator().standard_normal(64).tobytes()
+                assert key not in seen, (seed, path, seen.get(key))
+                seen[key] = (seed, path)
+        assert len(seen) == 6 * (1 + 4 + 16 + 64 + 3)
+        first = RngStream(3, 1).substream(0).generator().standard_normal(64)
+        assert not np.array_equal(first, RngStream(3, 0).substream(1).generator().standard_normal(64))
+        root = RngStream(3).generator().standard_normal(64)
+        assert not np.array_equal(root, RngStream(3).substream(0).generator().standard_normal(64))
+
+    def test_seed_and_path_name_the_substream(self):
+        for seed, path in ((0, (0,)), (5, (3,)), (5, (3, 1)), (2**40, (7, 0, 2))):
+            stream = RngStream(seed)
+            for offset in path:
+                stream = stream.substream(offset)
+            assert RngStream(seed, *path) == stream
+            assert hash(RngStream(seed, *path)) == hash(stream)
+            a = RngStream(seed, *path).generator().standard_normal(16)
+            assert a.tobytes() == stream.generator().standard_normal(16).tobytes()
+        assert RngStream(np.int64(4), np.uint32(2)) == RngStream(4, 2)
+        assert RngStream(-1, 3) == RngStream(2**64 - 1, 3)
+
+    def test_stream_is_sfc64_on_the_spawned_seed_sequence(self):
+        # RngStream(s, *path) is SeedSequence(s).spawn(...)'s child at path
+        child = np.random.SeedSequence(11).spawn(3)[2].spawn(2)[1]
+        ref = np.random.Generator(np.random.SFC64(child)).standard_normal(32)
+        assert RngStream(11, 2, 1).generator().standard_normal(32).tobytes() == ref.tobytes()
+
+    def test_offsets_outside_32_bits_raise(self):
+        for offset in (-1, 2**32):
+            with pytest.raises(InputError, match="offsets"):
+                RngStream(1, offset)
+            with pytest.raises(InputError, match="offsets"):
+                RngStream(1).substream(offset)
 
     def test_map_blocks_thread_invariance(self):
         def fn(gen, count):

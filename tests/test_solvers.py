@@ -710,7 +710,7 @@ class TestPamEuler:
 
         refs = [
             map_replica_blocks(replicas, old_block(cli._auto_pam_grid(t, 16, None)),
-                               RngStream(seed).substream(i << 32), block_size=64, threads=threads)
+                               RngStream(seed).substream(i), block_size=64, threads=threads)
             for i, t in enumerate(ts)
         ]
         samples = []
