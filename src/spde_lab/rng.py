@@ -6,7 +6,7 @@ seeded by ``np.random.SeedSequence(seed, spawn_key=path)``, where ``path`` is
 the tuple of offsets from the root, so a stream is the same sequence whatever
 the number of workers or the order of the work, and two distinct paths never
 share a key (Salmon et al., SC'11; L'Ecuyer et al., Math. Comput. Simul. 135,
-2017). SFC64 draws a normal in about two thirds of Philox's time.
+2017). Of numpy's Philox, PCG64 and SFC64, SFC64 draws normals fastest.
 """
 
 from __future__ import annotations

@@ -228,7 +228,7 @@ class TestSdePicard:
         # / sqrt(1000): 0.05, 0.12, 0.30, then above 0.8 from order 4. So only order 1
         # gets an upper band: a chi-square Chernoff bound, which Doob's inequality carries
         # to the max over nodes (exp of a sum of squared martingales is a submartingale),
-        # puts it below 1.2 but with probability 1e-3. The lower side stays light: the max
+        # puts it above 1.2 with probability below 1e-3. The lower side stays light: the max
         # is at least the last node, whose mean is at least that of min(X, tau), and
         # Bernstein's bound on that bounded mean gives 0.83, 0.61, 0.40, 0.35, 0.34, 0.29
         # and 0.27 at probability 1e-3 each (tau chosen per order). Rounded down below.
