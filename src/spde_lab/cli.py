@@ -47,7 +47,7 @@ from .noise import (
     sample_white_noise_sheet,
 )
 from .rng import RngStream, map_replica_blocks
-from .solvers import chaos_geometric_partials, pam_chaos_series, solve_pam_euler
+from .solvers import _PAM_CHUNK, chaos_geometric_partials, pam_chaos_series, pam_white_block
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -161,8 +161,7 @@ def _resolve_threads(value) -> int:
 # ---------------------------------------------------------------------------
 
 
-_PAM_BLOCK = 64  # pam-white replicas per noise stream block
-_PAM_CHUNK = 32  # replicas of a block drawn and marched at a time
+_PAM_BLOCK = 64  # pam-white replicas per noise stream block: it fixes each replica's draws
 
 
 def _auto_pam_grid(t: float, n_steps: int, half_width: float | None) -> SpaceTimeGrid:
@@ -209,21 +208,7 @@ def run_simulate(cfg: dict, out: Path, threads: int = 1) -> None:
                 raise NumericalError(f"every sample exp(Z - var/2) underflows to 0 at t={t}")
         else:  # pam-white; --model choices admit no other model
             grid = _auto_pam_grid(t, cfg["n_steps"], cfg.get("half_width"))
-            vol = math.sqrt(grid.cell_volume)
-            mid = grid.n_cells // 2
-
-            def block(gen, count, grid=grid, vol=vol, mid=mid):
-                # successive draws into one chunk buffer give the numbers of one
-                # whole-block draw, so the samples do not depend on the chunk size
-                buf = np.empty((min(count, _PAM_CHUNK),) + grid.cell_shape())
-                x = np.empty(count)
-                for lo in range(0, count, _PAM_CHUNK):
-                    w = buf[: min(count - lo, _PAM_CHUNK)]
-                    gen.standard_normal(out=w)
-                    w *= vol
-                    x[lo : lo + len(w)] = solve_pam_euler(grid, w)[:, mid]
-                return x
-
+            block = pam_white_block(grid, grid.n_cells // 2)
             x = map_replica_blocks(
                 replicas, block, stream.substream(i), block_size=_PAM_BLOCK, threads=threads
             )
@@ -353,10 +338,10 @@ def run_noise(cfg: dict, out: Path, threads: int = 1) -> None:
         if kind == "sheet":
             fld = sample_white_noise_sheet(grid, stream)
         else:  # homogeneous
-            if cfg.get("hurst") is None:
+            if cfg.get("hurst") is None and cfg.get("alpha") is None:
                 spec = NoiseSpec.space_time_white()
             else:
-                spec = NoiseSpec.fractional_riesz(cfg["hurst"], cfg.get("alpha"))
+                spec = NoiseSpec.fractional_riesz(cfg.get("hurst"), cfg.get("alpha"))
             fld = sample_homogeneous_noise(grid, spec, stream)
     # the field writers do not go through _write_table, so check here
     if not np.isfinite(fld.values).all():
@@ -479,7 +464,7 @@ _COMMANDS = {
         _Option("n_cells", int, 16, ">= 1", ("sheet", "homogeneous")),
         _Option("half_width", _finite_float, 1.0, "> 0", ("sheet", "homogeneous")),
         _Option("hurst", _finite_float, None, "in (0, 1)", ("fbm",)),
-        # a fractional homogeneous field also needs --alpha; its noise spec checks that
+        # a fractional homogeneous field needs --hurst and --alpha; its noise spec checks that
         _Option("alpha", _finite_float, None, "in (0, 1)", ()),
         _Option("format", ["csv", "spdf"], "csv", None, ("sheet", "homogeneous")),
     )),

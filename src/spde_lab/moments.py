@@ -23,7 +23,7 @@ from .errors import (
     NumericalError,
 )
 from .grids import SpaceTimeGrid, TimeGrid
-from .kernels import HEAT, WAVE
+from .kernels import HEAT
 from .noise import NoiseSpec, time_factor_matrix
 from .rng import RngStream, map_replica_blocks, replica_blocks, row_chunks
 from .solvers import linear_heat_node_chunks
@@ -57,12 +57,12 @@ def jackknife_stderr(samples: np.ndarray) -> float:
 
     For the mean the leave-one-out estimator collapses to the classical
     sqrt(sum (x - xbar)^2 / (n (n-1))); kept as the named method because the
-    reports quote it.
+    reports quote it. Fewer than 2 samples have no error estimate: InputError.
     """
     x = np.asarray(samples, dtype=float)
     n = x.size
     if n < 2:
-        return 0.0
+        raise InputError(f"a standard error needs at least 2 samples, got {n}")
     return float(np.sqrt(np.sum((x - x.mean()) ** 2) / (n * (n - 1))))
 
 
@@ -111,14 +111,6 @@ def fit_log_slope(ts: np.ndarray, values: np.ndarray, kappa: float) -> float:
     return float(coef[0])
 
 
-def lyapunov_fit(rows, p: float, kappa: float = 1.0) -> float:
-    """Fitted Lyapunov exponent of order p from MomentReport rows."""
-    sel = [r for r in rows if r.p == p]
-    if not sel:
-        raise InputError(f"no rows with p={p}")
-    return fit_log_slope([r.t for r in sel], [r.estimate for r in sel], kappa)
-
-
 def lyapunov_closed_form(model: str, p: float, hurst: float | None = None):
     """(lambda_p, kappa) for the models with known exponents.
 
@@ -147,22 +139,6 @@ def intermittency_check(p_values, lambdas) -> bool:
     order = np.argsort(p)
     ratios = lam[order] / p[order]
     return bool(np.all(np.diff(ratios) > 0))
-
-
-def intermittency_exponent_predicted(op_kind: str, alpha: float, hurst: float) -> float:
-    """Predicted moment growth exponent rho in exp(c p^a t^rho).
-
-    heat: (4H - alpha) / (2 - alpha); wave: (2H + 2 - alpha) / (3 - alpha).
-    """
-    if op_kind not in (HEAT, WAVE):
-        raise DomainError(f"operator kind must be 'heat' or 'wave', got {op_kind!r}")
-    if not 0.5 < hurst < 1.0:
-        raise DomainError(f"Hurst index must lie in (1/2,1), got {hurst}")
-    if not 0.0 < alpha < 2.0:
-        raise DomainError(f"alpha must lie in (0, d wedge 2) subset (0,2), got {alpha}")
-    if op_kind == HEAT:
-        return (4.0 * hurst - alpha) / (2.0 - alpha)
-    return (2.0 * hurst + 2.0 - alpha) / (3.0 - alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -424,38 +400,6 @@ def _holder_fit(
         p=p,
         axis=axis,
     )
-
-
-def holder_estimate(
-    fields: np.ndarray,
-    spacing: float,
-    axis: str = "time",
-    p: float = 2.0,
-    lags: tuple[int, ...] = DEFAULT_HOLDER_LAGS,
-    periodic_space: bool = False,
-) -> HolderFit:
-    """Fitted regularity exponent from dyadic-lag increment moments.
-
-    ``fields`` has shape (replicas, n_time, n_space); increments are taken
-    along the chosen axis at each listed lag, averaged over replicas and
-    over all admissible base points, and the exponent is the least-squares
-    slope of log ||increment||_p against log(lag * spacing). Lag 1 is
-    excluded by default (dominated by discretization noise). With
-    ``periodic_space`` space increments wrap around, at lags up to n_space / 2;
-    time increments never do.
-    """
-    u = np.asarray(fields, dtype=float)
-    if u.ndim != 3 or u.size == 0:
-        raise InputError(
-            f"fields must be a non-empty (replicas, n_time, n_space) array, got {u.shape}"
-        )
-    if axis not in ("time", "space"):
-        raise InputError(f"axis must be 'time' or 'space', got {axis!r}")
-    ax = 1 if axis == "time" else 2
-    periodic = axis == "space" and periodic_space  # time increments are never periodic
-    usable, lag_spacings = _increment_lags(spacing, p, lags, u.shape[ax], periodic)
-    sums = _increment_sums(u, ax, p, usable, periodic)
-    return _holder_fit(sums, u.min() < u.max(), usable, lag_spacings, p, axis)
 
 
 def linear_heat_holder_study(

@@ -130,22 +130,6 @@ class Cell:
         return len(self.x_lo)
 
 
-def grid_cell(grid: SpaceTimeGrid, k: int, ix) -> Cell:
-    """Cell (k, ix) of a grid; ix is an int (d=1) or a tuple of ints."""
-    if isinstance(ix, int):
-        ix = (ix,)
-    if len(ix) != grid.dim:
-        raise InputError(f"need {grid.dim} spatial indices, got {len(ix)}")
-    dt, dx = grid.time.dt, grid.dx
-    edges = grid.space_edges()
-    return Cell(
-        k * dt,
-        (k + 1) * dt,
-        tuple(edges[i] for i in ix),
-        tuple(edges[i + 1] for i in ix),
-    )
-
-
 # ---------------------------------------------------------------------------
 # elementary paths and sheets
 # ---------------------------------------------------------------------------
@@ -160,10 +144,6 @@ def sample_bm_paths(grid: TimeGrid, rng, n_paths: int = 1) -> np.ndarray:
     return paths
 
 
-def sample_bm_path(grid: TimeGrid, rng) -> np.ndarray:
-    return sample_bm_paths(grid, rng, 1)[0]
-
-
 def sample_white_noise_sheet(grid: SpaceTimeGrid, rng) -> Field:
     """I.i.d. cell increments with variance dt * dx^d (Brownian-sheet masses)."""
     gen = as_generator(rng)
@@ -176,17 +156,8 @@ def sample_white_noise_sheet(grid: SpaceTimeGrid, rng) -> Field:
 # ---------------------------------------------------------------------------
 
 
-def fbm_covariance(hurst: float, t: float, s: float) -> float:
-    """R_H(t,s) = (t^(2H) + s^(2H) - |t-s|^(2H)) / 2."""
-    if not 0.0 < hurst < 1.0:
-        raise DomainError(f"Hurst index must lie in (0,1), got {hurst}")
-    if t < 0 or s < 0:
-        raise DomainError("fBm covariance needs t, s >= 0")
-    h2 = 2.0 * hurst
-    return 0.5 * (t**h2 + s**h2 - abs(t - s) ** h2)
-
-
 def fbm_covariance_matrix(hurst: float, times: np.ndarray) -> np.ndarray:
+    """R_H(t, s) = (t^(2H) + s^(2H) - |t-s|^(2H)) / 2 for every pair of ``times``."""
     if not 0.0 < hurst < 1.0:
         raise DomainError(f"Hurst index must lie in (0,1), got {hurst}")
     t = np.asarray(times, dtype=float)
@@ -453,12 +424,6 @@ class HomogeneousNoiseSampler:
         self.space_cov = space_factor_matrix(grid, spec.space_kernel)
         self._lt, self.time_jitter = cholesky_with_jitter(self.time_cov)
         self._ls, self.space_jitter = cholesky_with_jitter(self.space_cov)
-
-    def covariance(self, k: int, ix, l: int, jx) -> float:
-        """Covariance of cells (k, ix) and (l, jx); matches cell_covariance."""
-        a = np.ravel_multi_index(tuple(np.atleast_1d(ix)), (self.grid.n_cells,) * self.grid.dim)
-        b = np.ravel_multi_index(tuple(np.atleast_1d(jx)), (self.grid.n_cells,) * self.grid.dim)
-        return float(self.time_cov[k, l] * self.space_cov[a, b])
 
     def sample_batch(self, rng, n: int) -> np.ndarray:
         """n fields of cell masses, shape (n,) + grid.cell_shape()."""

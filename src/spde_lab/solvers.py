@@ -1,6 +1,6 @@
-"""Solution schemes: grid Ito sums, Picard iteration for SDEs and the 1-d
-stochastic heat equation, stochastic convolution for the linear equation,
-mild Euler marching and chaos series for the multiplicative (Anderson) model.
+"""Solution schemes: grid Ito sums, Picard iteration for the 1-d stochastic
+heat equation, stochastic convolution for the linear equation, mild Euler
+marching and chaos series for the multiplicative (Anderson) model.
 
 Discretization conventions, shared by every scheme here:
 
@@ -38,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, DomainError, InputError, NumericalError
-from .field import Field
 from .grids import SpaceTimeGrid
 from .kernels import heat_kernel
 from .noise import HomogeneousNoiseSampler, NoiseSpec
@@ -129,7 +128,7 @@ class ChaosSeries:
 
 
 # ---------------------------------------------------------------------------
-# Ito sums and the SDE Picard scheme
+# Ito sums and the Picard loop
 # ---------------------------------------------------------------------------
 
 
@@ -147,18 +146,10 @@ def ito_sum(integrand_left: np.ndarray, increments: np.ndarray):
     return np.sum(x * db, axis=-1)
 
 
-def _ito_cumsum(phi: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Node values of the Ito sums of phi (R, nt), written into ``out`` (R, nt + 1):
-    node 0 is 0, node k sums cells < k."""
-    out[:, 0] = 0.0
-    np.cumsum(phi, axis=1, out=out[:, 1:])
-    return out
-
-
 def _picard_trace(
     sigma, causal_sum, cells, scale, rng, n_iter, replicas, initial, block_size, threads
 ) -> PicardTrace:
-    """Picard loop of the SDE and heat schemes, from u_0 = 0:
+    """Picard loop over replica blocks, from u_0 = 0:
 
     u_(n+1) = causal_sum(sigma(u_n at left endpoints) * noise) + initial,
 
@@ -173,7 +164,8 @@ def _picard_trace(
     It returns that sum with its first replica's final path, and the block
     sums are added in block order as they arrive. The blocks are fixed by
     ``block_size``, so the result does not depend on the thread count, and
-    no per-replica array outlives a chunk.
+    no per-replica array outlives a chunk. The heat scheme passes the causal
+    convolution core; an Ito cumulative sum over (nt,) cells is the SDE scheme.
     """
     if n_iter < 1:
         raise InputError(f"n_iter must be >= 1, got {n_iter}")
@@ -220,30 +212,6 @@ def _picard_trace(
             "sigma or the initial value overflows float64"
         )
     return PicardTrace(diffs, n_iter, replicas, final_sample=final)
-
-
-def solve_sde_picard(
-    sigma: LipschitzFn,
-    grid,
-    rng: RngStream,
-    n_iter: int,
-    replicas: int,
-    initial: float = 0.0,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    threads: int = 1,
-) -> PicardTrace:
-    """Picard scheme X_(n+1)(t) = initial + int_0^t sigma(X_n) dB, X_0 = 0.
-
-    All iterates of one replica share a single Brownian path; the trace
-    records, for each iterate, the maximum over grid nodes of the replica
-    average of the squared successive difference. The multiplicative model
-    (sigma(x) = x) needs ``initial=1``: with zero initial value its unique
-    solution is identically zero and every iterate vanishes.
-    """
-    return _picard_trace(
-        sigma, _ito_cumsum, (grid.n_steps,), math.sqrt(grid.dt),
-        rng, n_iter, replicas, initial, block_size, threads,
-    )
 
 
 def geometric_bm(times: np.ndarray, path: np.ndarray) -> np.ndarray:
@@ -387,24 +355,6 @@ class _LinearHeatKernels:
         return out
 
 
-def solve_linear_heat_1d(grid: SpaceTimeGrid, noise: Field) -> Field:
-    """Stochastic convolution with zero initial data,
-
-        u(t_k, x) = sum over cells with center before t_k of
-                    G((k-j-1/2) dt, x - y_c) W(cell_(j,y)),
-
-    evaluated by the causal FFT convolution core.
-    """
-    if noise.grid != grid:
-        raise InputError("noise field was sampled on a different grid")
-    if noise.on_nodes:
-        raise InputError("noise must be cell-indexed")
-    kernels = _LinearHeatKernels(grid)
-    nt = grid.time.n_steps
-    u = kernels.convolve(noise.values[None], np.arange(nt + 1))[0]
-    return Field(grid, u)
-
-
 def linear_heat_point_weights(grid: SpaceTimeGrid, k: int, ix: int) -> np.ndarray:
     """Weights A with u(t_k, x_ix) = sum over cells A[j, i] W[j, i]."""
     if grid.dim != 1:
@@ -435,7 +385,7 @@ def linear_heat_point_samples(
 ) -> np.ndarray:
     """Monte Carlo samples of u(t_k, x_ix) under fresh white noise per replica.
 
-    Equivalent to running solve_linear_heat_1d on each replica's sheet and
+    Equivalent to convolving each replica's sheet with the causal core and
     reading off the node, without materializing the fields.
     """
     a = linear_heat_point_weights(grid, k, ix)
@@ -518,8 +468,9 @@ def solve_nonlinear_heat_picard(
     u_(n+1)(t_k, x) = initial + sum over lagged cells of
     G((k-j-1/2) dt, x - y) sigma(u_n(t_j, y)) W(cell_(j,y)), with sigma
     evaluated at left time endpoints and one shared sheet per replica.
-    As for the SDE scheme, the multiplicative coefficient sigma(x) = x is
-    only non-degenerate with ``initial=1`` (the Anderson-model setup).
+    The multiplicative coefficient sigma(x) = x is only non-degenerate with
+    ``initial=1`` (the Anderson-model setup): from zero initial data every
+    iterate vanishes.
     """
     kernels = _LinearHeatKernels(grid)
     nodes = np.arange(grid.time.n_steps + 1)
@@ -564,21 +515,6 @@ def pam_log_second_moment(t: float) -> float:
     if not t > 0:
         raise DomainError(f"t must be positive, got {t}")
     return t / 4.0 + math.log(2.0 * std_normal_cdf(math.sqrt(t / 2.0)))
-
-
-def pam_truncation_order(t: float, tol: float = 1e-12) -> int:
-    """Smallest N with chaos tail below tol, from the Gamma denominator."""
-    n = 1
-    term = pam_chaos_term_variance(n, t)
-    while True:
-        # once terms decay geometrically by at least 1/2, tail <= 2 * next term
-        nxt = pam_chaos_term_variance(n + 1, t)
-        if nxt < term and nxt / (1.0 - nxt / term) < tol / 2.0:
-            return n + 1
-        term = nxt
-        n += 1
-        if n > 10_000:
-            raise InputError(f"no truncation below tol={tol} within 10000 terms")
 
 
 def pam_second_moment(t: float, n_terms: int) -> tuple[float, float]:
@@ -656,6 +592,34 @@ def solve_pam_euler(grid: SpaceTimeGrid, noise: np.ndarray, initial: float = 1.0
     if not np.all(np.isfinite(u)):
         raise NumericalError("mild Euler marching overflows")
     return u
+
+
+_PAM_CHUNK = 32  # replicas of a pam-white block drawn and marched at a time
+
+
+def pam_white_block(grid: SpaceTimeGrid, ix: int):
+    """Replica block of the multiplicative heat model under white noise.
+
+    Returns ``block(gen, count)`` for ``rng.map_replica_blocks``: it draws
+    the cell masses of ``count`` replicas ``_PAM_CHUNK`` at a time into one
+    reused buffer, scales them by sqrt(cell volume), marches them with
+    ``solve_pam_euler`` and returns u(t, x_ix) per replica. Successive draws
+    into the buffer give the numbers of one whole-block draw, so the samples
+    do not depend on the chunk size.
+    """
+    vol = math.sqrt(grid.cell_volume)
+
+    def block(gen, count):
+        buf = np.empty((min(count, _PAM_CHUNK),) + grid.cell_shape())
+        x = np.empty(count)
+        for lo in range(0, count, _PAM_CHUNK):
+            w = buf[: min(count - lo, _PAM_CHUNK)]
+            gen.standard_normal(out=w)
+            w *= vol
+            x[lo : lo + len(w)] = solve_pam_euler(grid, w)[:, ix]
+        return x
+
+    return block
 
 
 class WickPamSampler:

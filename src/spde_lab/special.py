@@ -83,14 +83,6 @@ class HermiteTable:
         return _hermite_scaled_seq(n, float(x))
 
 
-_DEFAULT_TABLE = HermiteTable()
-
-
-def hermite(n: int, x: float) -> float:
-    """Probabilists' Hermite polynomial H_n(x) by forward recurrence."""
-    return _DEFAULT_TABLE.value(n, x)
-
-
 def std_normal_cdf(x: float) -> float:
     """Standard normal distribution function Phi(x), absolute error <= 1e-12.
 

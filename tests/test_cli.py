@@ -524,11 +524,18 @@ class TestRangeChecks:
         ["noise", "--kind", "sheet", "--t", "5e-324"],
         ["noise", "--kind", "sheet", "--half-width", "5e-324"],
         ["simulate", "--fit", "--t", "0.5,1,2", "--replicas", "100"],
+        # one replica has no standard error
+        ["simulate", "--model", "gbm", "--replicas", "1"],
+        ["simulate", "--model", "pam-white", "--t", "0.25", "--n-steps", "8", "--replicas", "1"],
+        ["fk", "--hurst", "0.7", "--alpha", "0.5", "--n-quad", "8", "--replicas", "1"],
+        # --alpha alone is no noise: a fractional field needs --hurst too
+        ["noise", "--kind", "homogeneous", "--alpha", "0.5"],
     ], ids=["certificate-n-max", "certificate-replicas", "certificate-m", "gbm-t",
             "pam-white-n-steps", "chaos-n", "gfbm-hurst-above", "gfbm-hurst-below",
             "holder-time-lags", "gbm-n-steps", "fbm-n-cells-half-width", "heat-beta",
             "dalang-hurst", "pam-white-t-subnormal", "sheet-t-subnormal",
-            "sheet-half-width-subnormal", "fit-three-times"])
+            "sheet-half-width-subnormal", "fit-three-times", "gbm-one-replica",
+            "pam-white-one-replica", "fk-one-replica", "homogeneous-alpha-only"])
     def test_out_of_range_exits_2(self, tmp_path, capsys, argv):
         assert run(argv + ["--seed", "1", "--out", tmp_path / "out"]) == 2
         assert _last_json(capsys)["error"] in ("DomainError", "InputError")

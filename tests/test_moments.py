@@ -18,13 +18,10 @@ from spde_lab.moments import (
     estimate_moments,
     fit_log_slope,
     fk_second_moment,
-    holder_estimate,
     intermittency_check,
-    intermittency_exponent_predicted,
     jackknife_stderr,
     linear_heat_holder_study,
     lyapunov_closed_form,
-    lyapunov_fit,
 )
 from spde_lab.noise import NoiseSpec, sample_bm_paths, sample_fbm_paths, time_factor_matrix
 from spde_lab.rng import RngStream, map_replica_blocks, row_chunks
@@ -142,9 +139,10 @@ class TestLyapunov:
         rows = []
         for t in (1.0, 2.0, 3.0, 4.0):
             rows.extend(estimate_moments(np.full(4, math.exp(3 * t)), [1.0], t=t))
-        assert lyapunov_fit(rows, 1.0, kappa=1.0) == pytest.approx(3.0, abs=1e-10)
-        with pytest.raises(InputError):
-            lyapunov_fit(rows, 2.0)
+        # the CLI's --fit: the rows of one moment order against their times
+        sel = [r for r in rows if r.p == 1.0]
+        lam = fit_log_slope([r.t for r in sel], [r.estimate for r in sel], 1.0)
+        assert lam == pytest.approx(3.0, abs=1e-10)
 
     def test_closed_forms(self):
         assert lyapunov_closed_form("pam_white", 2.0) == (pytest.approx(0.25), 1.0)
@@ -168,30 +166,6 @@ class TestIntermittency:
         ps = [2.0, 3.0, 4.0]
         assert intermittency_check(ps, [p * (p - 1) / 2 for p in ps])
         assert not intermittency_check(ps, [2.0 * p for p in ps])
-
-    def test_predicted_rho(self):
-        assert intermittency_exponent_predicted("heat", 1.0, 0.75) == pytest.approx(2.0)
-        assert intermittency_exponent_predicted("wave", 1.0, 0.75) == pytest.approx(1.25)
-        # H -> 1/2, alpha -> 0 recovers the linear-in-t white-noise rate
-        assert intermittency_exponent_predicted("heat", 1e-9, 0.5 + 1e-9) == pytest.approx(
-            1.0, abs=1e-6
-        )
-
-    def test_rho_monotone_in_h_and_alpha(self):
-        hs = np.linspace(0.55, 0.95, 9)
-        alphas = np.linspace(0.1, 1.9, 10)
-        for op in ("heat", "wave"):
-            grid_vals = np.array(
-                [[intermittency_exponent_predicted(op, a, h) for a in alphas] for h in hs]
-            )
-            assert np.all(np.diff(grid_vals, axis=0) > 0)  # increasing in H
-            assert np.all(np.diff(grid_vals, axis=1) > 0)  # increasing in alpha
-
-    def test_rho_domain(self):
-        with pytest.raises(DomainError):
-            intermittency_exponent_predicted("heat", 2.0, 0.75)
-        with pytest.raises(DomainError):
-            intermittency_exponent_predicted("wave", 1.0, 0.5)
 
 
 def _reference_pair_exponents(b1, b2, wt, alpha, floor):
@@ -375,6 +349,39 @@ class TestFkSecondMoment:
             finally:
                 tracemalloc.stop()
             assert peak < bound * whole, d
+
+
+def holder_estimate(
+    fields: np.ndarray,
+    spacing: float,
+    axis: str = "time",
+    p: float = 2.0,
+    lags: tuple[int, ...] = moments.DEFAULT_HOLDER_LAGS,
+    periodic_space: bool = False,
+) -> moments.HolderFit:
+    """Fitted regularity exponent from dyadic-lag increment moments, on one
+    whole array through the study's accumulator and fit; the oracle.
+
+    ``fields`` has shape (replicas, n_time, n_space); increments are taken
+    along the chosen axis at each listed lag, averaged over replicas and
+    over all admissible base points, and the exponent is the least-squares
+    slope of log ||increment||_p against log(lag * spacing). Lag 1 is
+    excluded by default (dominated by discretization noise). With
+    ``periodic_space`` space increments wrap around, at lags up to n_space / 2;
+    time increments never do.
+    """
+    u = np.asarray(fields, dtype=float)
+    if u.ndim != 3 or u.size == 0:
+        raise InputError(
+            f"fields must be a non-empty (replicas, n_time, n_space) array, got {u.shape}"
+        )
+    if axis not in ("time", "space"):
+        raise InputError(f"axis must be 'time' or 'space', got {axis!r}")
+    ax = 1 if axis == "time" else 2
+    periodic = axis == "space" and periodic_space  # time increments are never periodic
+    usable, lag_spacings = moments._increment_lags(spacing, p, lags, u.shape[ax], periodic)
+    sums = moments._increment_sums(u, ax, p, usable, periodic)
+    return moments._holder_fit(sums, u.min() < u.max(), usable, lag_spacings, p, axis)
 
 
 def old_holder_estimate(fields, spacing, axis, p, lags, periodic_space):

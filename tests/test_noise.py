@@ -17,12 +17,9 @@ from spde_lab.noise import (
     TimeKernel,
     cell_covariance,
     cholesky_with_jitter,
-    fbm_covariance,
     fbm_covariance_matrix,
     fractional_time_cell_integral,
-    grid_cell,
     riesz_cell_integral,
-    sample_bm_path,
     sample_bm_paths,
     sample_fbm_paths,
     sample_homogeneous_noise,
@@ -33,14 +30,27 @@ from spde_lab.noise import (
 from spde_lab.rng import RngStream
 
 
+def grid_cell(grid: SpaceTimeGrid, k: int, ix) -> Cell:
+    """Cell (k, ix) of a grid; ix is an int (d=1) or a tuple of ints."""
+    ix = (ix,) if isinstance(ix, int) else ix
+    edges = grid.space_edges()
+    return Cell(k * grid.time.dt, (k + 1) * grid.time.dt,
+                tuple(edges[i] for i in ix), tuple(edges[i + 1] for i in ix))
+
+
+def fbm_covariance(hurst: float, t: float, s: float) -> float:
+    """R_H(t, s) from the covariance matrix of the two times."""
+    return fbm_covariance_matrix(hurst, [t, s])[0, 1]
+
+
 class TestBrownianMotion:
     def test_starts_at_zero(self):
-        path = sample_bm_path(TimeGrid(1.0, 1), RngStream(123))
+        path = sample_bm_paths(TimeGrid(1.0, 1), RngStream(123))[0]
         assert path[0] == 0.0
 
     def test_increment_variance_chi2_band(self):
         grid = TimeGrid(1.0, 1000)
-        path = sample_bm_path(grid, RngStream(42))
+        path = sample_bm_paths(grid, RngStream(42))[0]
         inc = np.diff(path)
         n = inc.size
         assert abs(np.var(inc, ddof=1) - grid.dt) <= 3.0 * math.sqrt(2.0 / n) * grid.dt
@@ -84,7 +94,7 @@ class TestFbm:
         # H = 1/2 reduces to t wedge s
         assert fbm_covariance(0.5, 0.7, 1.9) == pytest.approx(0.7, rel=1e-14)
         with pytest.raises(DomainError):
-            fbm_covariance(1.0, 1.0, 1.0)
+            fbm_covariance_matrix(1.0, [1.0])
 
     def test_h_half_is_brownian(self):
         grid = TimeGrid(1.0, 64)
@@ -346,7 +356,7 @@ class TestHomogeneousNoise:
         a = w[:, 1, 2]
         b = w[:, 5, 6]
         target = cell_covariance(grid_cell(grid, 1, 2), grid_cell(grid, 5, 6), spec)
-        assert sampler.covariance(1, 2, 5, 6) == pytest.approx(target, rel=1e-10)
+        assert sampler.time_cov[1, 5] * sampler.space_cov[2, 6] == pytest.approx(target, rel=1e-10)
         prod = a * b
         se = prod.std(ddof=1) / math.sqrt(prod.size)
         assert abs(prod.mean() - target) <= 3.0 * se
@@ -374,7 +384,8 @@ class TestHomogeneousNoise:
         target = cell_covariance(
             grid_cell(grid, 0, (0, 1)), grid_cell(grid, 2, (3, 2)), spec
         )
-        assert sampler.covariance(0, (0, 1), 2, (3, 2)) == pytest.approx(target, rel=1e-9)
+        # space cells (0, 1) and (3, 2) are rows 1 and 14 of the 4 x 4 grid in row-major order
+        assert sampler.time_cov[0, 2] * sampler.space_cov[1, 14] == pytest.approx(target, rel=1e-9)
         w = sampler.sample_batch(RngStream(71), 20_000)
         prod = w[:, 0, 0, 1] * w[:, 2, 3, 2]
         se = prod.std(ddof=1) / math.sqrt(prod.size)

@@ -6,7 +6,6 @@ import pytest
 
 from spde_lab import cli, rng, solvers
 from spde_lab.errors import CapabilityError, DomainError, InputError, NumericalError
-from spde_lab.field import Field
 from spde_lab.grids import SpaceTimeGrid, TimeGrid
 from spde_lab.kernels import heat_kernel
 from spde_lab.noise import (
@@ -15,7 +14,7 @@ from spde_lab.noise import (
     sample_bm_paths,
     sample_white_noise_sheet,
 )
-from spde_lab.rng import RngStream, map_replica_blocks
+from spde_lab.rng import DEFAULT_BLOCK_SIZE, RngStream, map_replica_blocks
 from spde_lab.solvers import (
     LipschitzFn,
     WickPamSampler,
@@ -33,11 +32,8 @@ from spde_lab.solvers import (
     pam_log_second_moment,
     pam_second_moment,
     pam_second_moment_closed_form,
-    pam_truncation_order,
-    solve_linear_heat_1d,
     solve_nonlinear_heat_picard,
     solve_pam_euler,
-    solve_sde_picard,
 )
 
 
@@ -92,6 +88,31 @@ def block_order_mean(rows: np.ndarray, block_size: int) -> np.ndarray:
             part += row
         total += part
     return total / rows.shape[0]
+
+
+def ito_cumsum(phi: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Node values of the Ito sums of phi (R, nt), written into ``out`` (R, nt + 1):
+    node 0 is 0, node k sums cells < k."""
+    out[:, 0] = 0.0
+    np.cumsum(phi, axis=1, out=out[:, 1:])
+    return out
+
+
+def solve_sde_picard(sigma, grid, rng, n_iter, replicas, initial=0.0,
+                     block_size=DEFAULT_BLOCK_SIZE, threads=1):
+    """Picard scheme X_(n+1)(t) = initial + int_0^t sigma(X_n) dB, X_0 = 0, on
+    the heat scheme's Picard loop with the Ito cumulative sum as its causal sum.
+
+    All iterates of one replica share a single Brownian path; the trace
+    records, for each iterate, the maximum over grid nodes of the replica
+    average of the squared successive difference. The multiplicative model
+    (sigma(x) = x) needs ``initial=1``: with zero initial value its unique
+    solution is identically zero and every iterate vanishes.
+    """
+    return solvers._picard_trace(
+        sigma, ito_cumsum, (grid.n_steps,), math.sqrt(grid.dt),
+        rng, n_iter, replicas, initial, block_size, threads,
+    )
 
 
 def old_sde_picard(sigma, grid, rng, n_iter, replicas, initial, block_size, threads):
@@ -345,6 +366,12 @@ def direct_convolution(grid: SpaceTimeGrid, phi: np.ndarray) -> np.ndarray:
     return u
 
 
+def solve_linear_heat(grid: SpaceTimeGrid, w: np.ndarray) -> np.ndarray:
+    """u at every time node for one cell-indexed sheet w, by the causal convolution core."""
+    nodes = np.arange(grid.time.n_steps + 1)
+    return solvers._LinearHeatKernels(grid).convolve(w[None], nodes)[0]
+
+
 def replica_sheets(grid: SpaceTimeGrid, seed: int, replicas: int, block_size: int):
     """The scaled white-noise sheets the block samplers draw, in replica order."""
     nt, nx = grid.time.n_steps, grid.n_cells
@@ -400,13 +427,13 @@ class TestLinearHeat:
 
     def test_zero_time_is_zero(self):
         grid = self._grid()
-        u = solve_linear_heat_1d(grid, sample_white_noise_sheet(grid, RngStream(1)))
-        assert np.all(u.values[0] == 0.0)
+        u = solve_linear_heat(grid, sample_white_noise_sheet(grid, RngStream(1)).values)
+        assert np.all(u[0] == 0.0)
 
     @pytest.mark.parametrize("grid", CORE_GRIDS)
     def test_fft_core_matches_direct_oracle(self, grid):
         w = sample_white_noise_sheet(grid, RngStream(5))
-        u = solve_linear_heat_1d(grid, w).values
+        u = solve_linear_heat(grid, w.values)
         np.testing.assert_allclose(u, direct_convolution(grid, w.values), rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("grid", CORE_GRIDS)
@@ -472,7 +499,7 @@ class TestLinearHeat:
     def test_point_weights_match_solver(self):
         grid = self._grid()
         w = sample_white_noise_sheet(grid, RngStream(5))
-        u = solve_linear_heat_1d(grid, w).values
+        u = solve_linear_heat(grid, w.values)
         a = linear_heat_point_weights(grid, 16, 12)
         assert np.sum(a * w.values) == pytest.approx(u[16, 12], rel=1e-12)
 
@@ -498,7 +525,7 @@ class TestLinearHeat:
         samples = linear_heat_point_samples(grid, 16, 12, 3, RngStream(9), block_size=1)
         for r in range(3):
             w = sample_white_noise_sheet(grid, RngStream(9, r))
-            u = solve_linear_heat_1d(grid, w).values
+            u = solve_linear_heat(grid, w.values)
             assert samples[r] == pytest.approx(u[16, 12], rel=1e-12)
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -513,7 +540,7 @@ class TestLinearHeat:
         x = linear_heat_point_samples(grid, k, ix, 17, RngStream(45), block_size=7,
                                       threads=threads)
         oracle = np.array([
-            solve_linear_heat_1d(grid, Field(grid, w)).values[k, ix]
+            solve_linear_heat(grid, w)[k, ix]
             for w in replica_sheets(grid, 45, 17, 7)
         ])
         assert np.max(np.abs(x - oracle)) <= 1e-12 * np.max(np.abs(oracle))
@@ -544,12 +571,6 @@ class TestLinearHeat:
         band = 3.0 * math.sqrt(2.0 / vals.size) * target
         assert abs(vals.var(ddof=1) - target) <= band
 
-    def test_rejects_mismatched_noise(self):
-        grid = self._grid()
-        other = SpaceTimeGrid(TimeGrid(0.25, 8), 4.0, 24)
-        with pytest.raises(InputError):
-            solve_linear_heat_1d(grid, sample_white_noise_sheet(other, RngStream(0)))
-
 
 class TestNonlinearHeatPicard:
     def test_zero_sigma(self):
@@ -566,7 +587,7 @@ class TestNonlinearHeatPicard:
         )
         gen = RngStream(8).substream(0).generator()
         w = gen.standard_normal((1, 16, 32)) * math.sqrt(grid.cell_volume)
-        lin = solve_linear_heat_1d(grid, Field(grid, w[0])).values
+        lin = solve_linear_heat(grid, w[0])
         assert np.allclose(tr.final_sample, lin, atol=1e-12)
         assert np.all(tr.sup_sq_diffs[1:] == 0.0)
 
@@ -652,11 +673,6 @@ class TestPamChaos:
 
     def test_lambda2_from_log_moment(self):
         assert pam_log_second_moment(200.0) / 200.0 == pytest.approx(0.25, abs=1e-2)
-
-    def test_truncation_order_bound(self):
-        n = pam_truncation_order(1.0, 1e-12)
-        partial_n, closed = pam_second_moment(1.0, n)
-        assert abs(partial_n - closed) < 1e-12
 
     def test_series_monotone(self):
         series = pam_chaos_series(1.0, 30)
@@ -767,23 +783,11 @@ class TestPamEuler:
         # within 5% + 3 stderr. Block b of 250 replicas draws from
         # RngStream(56).substream(b) = RngStream(56, b); two blocks run at a
         # time and are joined in block order. Each block draws its noise 32
-        # replicas at a time into one 67 MB buffer, as the CLI does; the
-        # successive draws are the numbers of one whole-block draw
+        # replicas at a time into one 67 MB buffer, as the CLI does
         grid = SpaceTimeGrid(TimeGrid(0.5, 512), 6.0, 512)
         target = pam_second_moment_closed_form(0.5)
-        scale = math.sqrt(grid.cell_volume)
-
-        def block(gen, count):
-            buf = np.empty((32, 512, 512))
-            sq = np.empty(count)
-            for lo in range(0, count, 32):
-                w = buf[: min(count - lo, 32)]
-                gen.standard_normal(out=w)
-                w *= scale
-                sq[lo : lo + len(w)] = solve_pam_euler(grid, w)[:, 256] ** 2
-            return sq
-
-        sq = map_replica_blocks(6 * 250, block, RngStream(56), block_size=250, threads=2)
+        block = solvers.pam_white_block(grid, 256)
+        sq = map_replica_blocks(6 * 250, block, RngStream(56), block_size=250, threads=2) ** 2
         se = sq.std(ddof=1) / math.sqrt(sq.size)
         assert abs(sq.mean() - target) <= 3.0 * se + 0.05 * target
 
