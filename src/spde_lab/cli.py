@@ -47,7 +47,7 @@ from .noise import (
     sample_white_noise_sheet,
 )
 from .rng import RngStream, map_replica_blocks
-from .solvers import _PAM_CHUNK, chaos_geometric_partials, pam_chaos_series, pam_white_block
+from .solvers import chaos_geometric_partials, pam_chaos_series, pam_white_block
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -168,8 +168,8 @@ def _auto_pam_grid(t: float, n_steps: int, half_width: float | None) -> SpaceTim
     time = TimeGrid(t, n_steps)
     half = 8.0 * math.sqrt(t) if half_width is None else half_width
     cells = 2 * half / (0.8 * math.sqrt(time.dt))
-    # a chunk's noise buffer must stay within numpy's largest array, sys.maxsize bytes
-    if not cells * n_steps * _PAM_CHUNK * 8 < sys.maxsize:
+    # one step of a block's noise must stay within numpy's largest array, sys.maxsize bytes
+    if not cells * _PAM_BLOCK * 8 < sys.maxsize:
         raise NumericalError(f"--half-width {half} needs {cells:.3g} cells, beyond any array")
     n_cells = int(np.ceil(cells))
     n_cells += n_cells % 2

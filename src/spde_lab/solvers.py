@@ -572,21 +572,26 @@ def solve_pam_euler(grid: SpaceTimeGrid, noise: np.ndarray, initial: float = 1.0
     moments drift above the Wick-product solution's; use WickPamSampler for
     moment comparisons against Wick-calculus formulas.
     """
-    if grid.dim != 1:
-        raise CapabilityError("mild Euler marching supports d = 1 only")
     w = np.asarray(noise)
     if w.shape[1:] != grid.cell_shape():
         raise InputError(
             f"noise sheets have shape {w.shape[1:]}, the grid needs {grid.cell_shape()}"
         )
+    return _pam_march(grid, w.swapaxes(0, 1), len(w), initial)
+
+
+def _pam_march(grid: SpaceTimeGrid, steps, count: int, initial: float = 1.0) -> np.ndarray:
+    """solve_pam_euler's march over ``steps``, an iterable of (count, n_cells) cell masses."""
+    if grid.dim != 1:
+        raise CapabilityError("mild Euler marching supports d = 1 only")
     step = _heat_step(grid)
-    u = np.full((w.shape[0], grid.n_cells), float(initial))
+    u = np.full((count, grid.n_cells), float(initial))
     # every step reuses one product and one spectrum array; noise is only read
     v = np.empty_like(u)
-    spec = np.empty((w.shape[0], grid.n_cells // 2 + 1), dtype=complex)
+    spec = np.empty((count, grid.n_cells // 2 + 1), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # checked next
-        for k in range(grid.time.n_steps):
-            np.add(w[:, k], grid.dx, out=v)
+        for w_k in steps:
+            np.add(w_k, grid.dx, out=v)
             v *= u
             step(v, out=u, spec=spec)
     if not np.all(np.isfinite(u)):
@@ -594,30 +599,21 @@ def solve_pam_euler(grid: SpaceTimeGrid, noise: np.ndarray, initial: float = 1.0
     return u
 
 
-_PAM_CHUNK = 32  # replicas of a pam-white block drawn and marched at a time
-
-
 def pam_white_block(grid: SpaceTimeGrid, ix: int):
     """Replica block of the multiplicative heat model under white noise.
 
-    Returns ``block(gen, count)`` for ``rng.map_replica_blocks``: it draws
-    the cell masses of ``count`` replicas ``_PAM_CHUNK`` at a time into one
-    reused buffer, scales them by sqrt(cell volume), marches them with
-    ``solve_pam_euler`` and returns u(t, x_ix) per replica. Successive draws
-    into the buffer give the numbers of one whole-block draw, so the samples
-    do not depend on the chunk size.
+    Returns ``block(gen, count)`` for ``rng.map_replica_blocks``; a block
+    gives u(t, x_ix) per replica. It draws each step's cell masses for all
+    ``count`` replicas into one reused array and advances the Euler march by
+    that step: the draws are those of one (n_steps, count, n_cells) draw,
+    and memory does not grow with n_steps.
     """
-    vol = math.sqrt(grid.cell_volume)
+    vol, nt = math.sqrt(grid.cell_volume), grid.time.n_steps
 
     def block(gen, count):
-        buf = np.empty((min(count, _PAM_CHUNK),) + grid.cell_shape())
-        x = np.empty(count)
-        for lo in range(0, count, _PAM_CHUNK):
-            w = buf[: min(count - lo, _PAM_CHUNK)]
-            gen.standard_normal(out=w)
-            w *= vol
-            x[lo : lo + len(w)] = solve_pam_euler(grid, w)[:, ix]
-        return x
+        w = np.empty((count, grid.n_cells))  # each step is drawn and scaled in place
+        steps = (np.multiply(gen.standard_normal(out=w), vol, out=w) for _ in range(nt))
+        return _pam_march(grid, steps, count)[:, ix]
 
     return block
 
@@ -662,11 +658,11 @@ class WickPamSampler:
         """(U1, U2) at the final time node, each of shape (n, n_cells)."""
         w = self.sampler.sample_batch(rng, n)
         dx, nt, nx = self.grid.dx, self.grid.time.n_steps, self.grid.n_cells
-        u1 = np.zeros((n, nx))
-        u2 = np.zeros_like(u1)
-        # both levels step through two product arrays and one spectrum
-        v, vw = np.empty_like(u1), np.empty_like(u1)
-        spec = np.empty((n, nx // 2 + 1), dtype=complex)
+        # both levels are halves of one array and take one heat step together
+        u = np.zeros((2, n, nx))
+        v = np.empty_like(u)
+        (u1, u2), (v1, v2) = u, v
+        spec = np.empty((2, n, nx // 2 + 1), dtype=complex)
         # the sampler's einsum leaves space outermost and time innermost in
         # memory, so w[:, k] is a strided gather; a time-major copy of 8 steps
         # at a time (one cache line per replica and cell), into one reused
@@ -677,15 +673,14 @@ class WickPamSampler:
             steps = steps_buf[: min(8, nt - k0)]
             np.copyto(steps, w[:, k0 : k0 + 8].transpose(1, 0, 2))
             for k, w_k in enumerate(steps, k0):
-                # u2 <- step(u2 dx + u1 w_k - tau[k]), then u1 <- step(u1 dx + w_k)
-                np.multiply(u2, dx, out=v)
-                np.multiply(u1, w_k, out=vw)
-                v += vw
-                v -= self.tau[k]
-                self._step(v, out=u2, spec=spec)
-                np.multiply(u1, dx, out=v)
-                v += w_k
-                self._step(v, out=u1, spec=spec)
+                # U2 <- step(U2 dx + U1 w_k - tau[k]), U1 <- step(U1 dx + w_k), both from old U1
+                np.multiply(u1, w_k, out=v2)
+                np.multiply(u2, dx, out=v1)
+                v2 += v1
+                v2 -= self.tau[k]
+                np.multiply(u1, dx, out=v1)
+                v1 += w_k
+                self._step(v, out=u, spec=spec)
         return u1, u2
 
     def second_moment_samples(self, rng, n: int):

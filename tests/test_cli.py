@@ -230,10 +230,10 @@ class TestSimulateCommand:
         assert 0.5 < est < 3.0  # closed form at t=0.25 is ~1.26
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_pam_white_draws_one_chunk_at_a_time(self, tmp_path, monkeypatch, threads):
-        # every standard_normal request of a pam-white run, across its
-        # 64-replica blocks: none larger than 32 replicas' sheets, and all of
-        # them together one sheet per replica
+    def test_pam_white_draws_one_step_at_a_time(self, tmp_path, monkeypatch, threads):
+        # every standard_normal request of a pam-white run is one time step
+        # of one 64-replica block (100 replicas: blocks of 64 and 36), and
+        # all of them together are one sheet per replica
         requests = []
         real_generator = spde_lab.rng.RngStream.generator
 
@@ -250,9 +250,8 @@ class TestSimulateCommand:
         assert run(["simulate", "--model", "pam-white", "--t", "0.25", "--n-steps", "16",
                     "--replicas", "100", "--seed", "4", "--threads", threads,
                     "--out", tmp_path]) == 0
-        sheet = 16 * cli._auto_pam_grid(0.25, 16, None).n_cells
-        assert max(requests) <= 32 * sheet
-        assert sum(requests) == 100 * sheet
+        n_cells = cli._auto_pam_grid(0.25, 16, None).n_cells
+        assert sorted(requests) == [36 * n_cells] * 16 + [64 * n_cells] * 16
 
     def test_unknown_config_keys_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

@@ -710,9 +710,9 @@ class TestPamEuler:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_cli_pam_white_matches_whole_block_draws(self, tmp_path, monkeypatch, threads):
-        # the CLI draws each 64-replica block 32 replicas at a time; the
-        # reference draws the whole block at once and marches it with the old
-        # marcher. 100 replicas end in a short block (36) and a short chunk (4)
+        # the CLI draws each 64-replica block one time step at a time; the
+        # reference draws the whole block at once, step-major, and marches it
+        # with the old marcher. 100 replicas end in a short block (36)
         ts, replicas, seed = (0.25, 0.5), 100, 7
         argv = ["simulate", "--model", "pam-white", "--t", "0.25,0.5", "--p", "1,2",
                 "--n-steps", "16", "--replicas", str(replicas), "--seed", str(seed),
@@ -720,7 +720,8 @@ class TestPamEuler:
 
         def old_block(grid):
             def block(gen, count):
-                w = gen.standard_normal((count,) + grid.cell_shape()) * math.sqrt(grid.cell_volume)
+                w = gen.standard_normal((grid.time.n_steps, count, grid.n_cells)).transpose(1, 0, 2)
+                w *= math.sqrt(grid.cell_volume)
                 return old_pam_euler_final_batch(grid, w)[:, grid.n_cells // 2]
             return block
 
@@ -745,6 +746,23 @@ class TestPamEuler:
         assert cli.main(argv + ["--out", str(tmp_path / "old")]) == 0
         for name in ("config.json", "moments.csv", "report.json"):
             assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
+
+    def test_block_peak_does_not_grow_with_steps(self):
+        # a block holds one step's noise for its replicas, not their history:
+        # 64 replicas' 256-step history on 64 cells alone is 8 MB
+        peaks = []
+        for n_steps in (16, 256):
+            block = solvers.pam_white_block(SpaceTimeGrid(TimeGrid(0.25, n_steps), 4.0, 64), 32)
+            gen = RngStream(3).generator()
+            block(gen, 64)  # the first call in a process also fills numpy's caches
+            tracemalloc.start()
+            try:
+                block(gen, 64)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] < 1.25 * peaks[0]
 
     def test_overflow_raises(self):
         # u grows by about dx + w = 1e200 per step and overflows at step 2
@@ -782,8 +800,8 @@ class TestPamEuler:
         # E[u(0.5,0)^2] vs 2 e^(t/4) Phi(sqrt(t/2)) = 1.56706 at dt = 2^-10,
         # within 5% + 3 stderr. Block b of 250 replicas draws from
         # RngStream(56).substream(b) = RngStream(56, b); two blocks run at a
-        # time and are joined in block order. Each block draws its noise 32
-        # replicas at a time into one 67 MB buffer, as the CLI does
+        # time and are joined in block order. Each block draws its noise one
+        # time step at a time into one 1 MB array, as the CLI does
         grid = SpaceTimeGrid(TimeGrid(0.5, 512), 6.0, 512)
         target = pam_second_moment_closed_form(0.5)
         block = solvers.pam_white_block(grid, 256)
