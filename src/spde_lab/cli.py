@@ -28,7 +28,7 @@ from .conditions import (
     dalang_integral_numeric,
 )
 from .errors import DomainError, InputError, NumericalError, SpdeLabError
-from .field import write_csv as write_field_csv, write_spdf
+from .field import write_spdf
 from .grids import SpaceTimeGrid, TimeGrid
 from .kernels import OperatorSpec
 from .moments import (
@@ -62,10 +62,6 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _canonical(config: dict) -> str:
-    return json.dumps(config, sort_keys=True, separators=(",", ":"))
-
-
 def _plain(value):
     """A result as JSON values: a dataclass becomes a dict of its fields, an
     ndarray or a tuple becomes a list, recursively."""
@@ -93,10 +89,6 @@ def _write_json(path: Path, config: dict, results) -> None:
     path.write_text(text + "\n")
 
 
-def _csv_header(config: dict) -> str:
-    return f"# spde-lab {__version__}\n# config: {_canonical(config)}\n"
-
-
 def _cell(value) -> str:
     if not isinstance(value, float):
         return str(value)
@@ -106,10 +98,22 @@ def _cell(value) -> str:
 
 
 def _write_table(path: Path, config: dict, columns, rows) -> None:
-    """Write a CSV artifact: the version and config header, the ``columns``
-    line, then one line per row; floats with 17 significant digits."""
-    lines = [",".join(columns)] + [",".join(map(_cell, row)) for row in rows]
-    path.write_text(_csv_header(config) + "\n".join(lines) + "\n")
+    """Write a CSV artifact: the version and canonical config header, the
+    ``columns`` line, then one line per row; floats with 17 significant digits.
+
+    Rows are written as they arrive, so a large table is never held whole. A
+    failure, such as a non-finite value, removes the file: no artifact is
+    left half written."""
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    fh = path.open("w")
+    try:
+        with fh:
+            fh.write(f"# spde-lab {__version__}\n# config: {canonical}\n")
+            fh.write(",".join(columns) + "\n")
+            fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+    except BaseException:
+        path.unlink()
+        raise
 
 
 def _finite_float(text: str) -> float:
@@ -343,16 +347,16 @@ def run_noise(cfg: dict, out: Path, threads: int = 1) -> None:
             else:
                 spec = NoiseSpec.fractional_riesz(cfg.get("hurst"), cfg.get("alpha"))
             fld = sample_homogeneous_noise(grid, spec, stream)
-    # the field writers do not go through _write_table, so check here
+    # write_spdf does not check its values, so check here
     if not np.isfinite(fld.values).all():
         raise NumericalError(f"the {kind} noise field is not finite")
     if cfg["format"] == "spdf":
         write_spdf(fld, out / "field.spdf")
-    else:
-        write_field_csv(fld, out / "field.csv")
-        # prepend the artifact header while keeping the coordinate header
-        body = (out / "field.csv").read_text()
-        (out / "field.csv").write_text(_csv_header(cfg) + body)
+    else:  # one row per cell, at its centre, time outermost
+        xs = grid.space_centers().tolist()
+        rows = ((t, x, v) for t, row in zip(grid.time.cell_centers().tolist(), fld.values)
+                for x, v in zip(xs, row.tolist()))
+        _write_table(out / "field.csv", cfg, ("t", "x1", "value"), rows)
 
 
 _RUNNERS = {
@@ -410,7 +414,7 @@ _COMMANDS = {
         _Option("model", ["gbm", "gfbm", "pam-white"], "gbm"),
         _Option("t", _FLOATS, "1.0", "> 0", help="comma-separated times"),
         _Option("p", _FLOATS, "2.0", ">= 1", help="comma-separated moment orders"),
-        _Option("replicas", int, 10_000, ">= 1"),
+        _Option("replicas", int, 10_000, ">= 2"),
         _Option("hurst", _finite_float, None, "in (0, 1)", ("gfbm",)),
         _Option("n_steps", int, 256, ">= 1", ("pam-white",)),
         _Option("half_width", _finite_float, None, "> 0", ()),
@@ -437,14 +441,14 @@ _COMMANDS = {
         _Option("big_t", _finite_float, 1.0, "> 0"),
         _Option("m", _finite_float, 1.0, ">= 0"),
         _Option("n_max", int, 20, ">= 0"),
-        _Option("replicas", int, 100_000, ">= 1"),
+        _Option("replicas", int, 100_000, ">= 2"),
     )),
     "fk": ("two-path exponential-functional second moment", None, (
         _Option("hurst", _finite_float, None, "in (1/2, 1)"),
         _Option("alpha", _finite_float, None, "> 0"),
         _Option("d", int, 1, ">= 1"),
         _Option("t", _finite_float, 0.25, "> 0"),
-        _Option("replicas", int, 10_000, ">= 1"),
+        _Option("replicas", int, 10_000, ">= 2"),
         _Option("n_quad", int, 128, ">= 2"),
     )),
     "holder": ("empirical regularity exponents, linear heat", None, (

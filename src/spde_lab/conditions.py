@@ -311,8 +311,8 @@ def dalang_gronwall_certificate(
         raise DomainError(f"M must be nonnegative, got {M}")
     if n_max < 0:
         raise InputError(f"n_max must be >= 0, got {n_max}")
-    if mc_replicas < 1:
-        raise InputError(f"mc_replicas must be >= 1, got {mc_replicas}")
+    if mc_replicas < 2:  # one replica has no standard error
+        raise InputError(f"mc_replicas must be >= 2, got {mc_replicas}")
     g_total, inv_cdf = _profile_sampler(profile, T)
     if g_total == 0.0:
         raise InputError("degenerate profile: G(T) = 0")

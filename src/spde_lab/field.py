@@ -1,12 +1,8 @@
 """Grid-indexed fields and their serialization.
 
-Two on-disk formats:
-
-* CSV with one row per entry (coordinates first, value last), mainly for
-  eyeballing and plotting elsewhere.
-* A versioned binary container with magic bytes ``SPDF1``: all integers and
-  floats little-endian, values stored as 64-bit floats in row-major order
-  with the time axis outermost.
+The on-disk format is a versioned binary container with magic bytes
+``SPDF1``: all integers and floats little-endian, values stored as 64-bit
+floats in row-major order with the time axis outermost.
 """
 
 from __future__ import annotations
@@ -62,24 +58,6 @@ class Field:
     @property
     def on_nodes(self) -> bool:
         return self.values.shape[0] == self.grid.time.n_steps + 1
-
-    def time_coords(self) -> np.ndarray:
-        if self.on_nodes:
-            return self.grid.time.nodes()
-        return self.grid.time.cell_centers()
-
-
-def write_csv(field: Field, path) -> None:
-    """Node/cell coordinates plus value, one row per entry."""
-    g = field.grid
-    tcoords = field.time_coords()
-    xcoords = g.space_centers()
-    axes = [tcoords] + [xcoords] * g.dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    cols = [m.reshape(-1) for m in mesh] + [field.values.reshape(-1)]
-    header = ",".join(["t"] + [f"x{i + 1}" for i in range(g.dim)] + ["value"])
-    data = np.column_stack(cols)
-    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
 
 
 def write_spdf(field: Field, path) -> None:

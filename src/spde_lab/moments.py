@@ -205,7 +205,6 @@ def fk_second_moment(
     replicas: int,
     n_quad: int,
     rng: RngStream,
-    delta_floor: float | None = None,
     block_size: int = 128,
     threads: int = 1,
 ) -> PathPairEstimate:
@@ -217,8 +216,8 @@ def fk_second_moment(
     over independent d-dimensional Brownian pairs. The time integral is
     evaluated per quadrature-cell pair with the exact alpha_H-weighted cell
     integral (no time-singularity error); the spatial factor uses path
-    values at cell centers with |B^1 - B^2| floored at ``delta_floor``
-    (default: half a quadrature cell).
+    values at cell centers with |B^1 - B^2| floored at half a quadrature
+    cell, t / (2 n_quad).
     """
     if not t > 0:
         raise DomainError(f"t must be positive, got {t}")
@@ -237,9 +236,11 @@ def fk_second_moment(
     if n_quad < 2:
         raise InputError(f"n_quad must be >= 2, got {n_quad}")
     delta = t / n_quad
-    floor = delta / 2.0 if delta_floor is None else float(delta_floor)
+    floor = delta / 2.0
     if not floor > 0.0:
-        raise InputError(f"delta_floor must be positive, got {floor}")
+        raise InputError(
+            f"the distance floor t / (2 n_quad) underflows to 0 at t={t}, --n-quad {n_quad}"
+        )
 
     # exact alpha_H-weighted time integrals over cell pairs (Toeplitz in the lag)
     wt = time_factor_matrix(TimeGrid(t, n_quad), spec.time_kernel)

@@ -19,6 +19,8 @@ import spde_lab
 from spde_lab import cli, noise
 from spde_lab.cli import main
 from spde_lab.field import read_spdf
+from spde_lab.grids import SpaceTimeGrid, TimeGrid
+from spde_lab.rng import RngStream
 
 
 def run(argv):
@@ -307,6 +309,15 @@ class TestFkCommand:
         assert err["error"] == "NumericalError"
         assert not (tmp_path / "fk.json").exists()
 
+    def test_floor_underflow_exits_2(self, tmp_path, capsys):
+        # the half-cell distance floor t / (2 n_quad) rounds to 0
+        code = run(["fk", "--hurst", "0.7", "--alpha", "0.5", "--t", "1e-323",
+                    "--n-quad", "2", "--out", tmp_path])
+        assert code == 2
+        err = _last_json(capsys)
+        assert err["error"] == "InputError" and "--n-quad" in err["message"]
+        assert not list(tmp_path.glob("*"))
+
 
 class TestHolderCommand:
     def test_small_run(self, tmp_path):
@@ -325,6 +336,36 @@ class TestNoiseCommand:
         lines = (tmp_path / "path.csv").read_text().strip().splitlines()
         assert lines[2] == "t,value"
         assert float(lines[3].split(",")[1]) == 0.0  # B_0 = 0
+
+    @pytest.mark.parametrize("n_steps, n_cells", [(8, 8), (5, 12)], ids=["square", "non-square"])
+    def test_sheet_csv_matches_savetxt_oracle(self, tmp_path, n_steps, n_cells):
+        # the artifact header, then the cell centres and values as np.savetxt writes them
+        assert run(["noise", "--kind", "sheet", "--t", "0.5", "--n-steps", n_steps,
+                    "--n-cells", n_cells, "--half-width", "1.5", "--seed", "6",
+                    "--out", tmp_path]) == 0
+        cfg = json.loads((tmp_path / "config.json").read_text())
+        grid = SpaceTimeGrid(TimeGrid(0.5, n_steps), 1.5, n_cells)
+        values = noise.sample_white_noise_sheet(grid, RngStream(6)).values
+        t, x = np.meshgrid(grid.time.cell_centers(), grid.space_centers(), indexing="ij")
+        oracle = tmp_path / "oracle.csv"
+        with oracle.open("w") as fh:
+            fh.write(f"# spde-lab {spde_lab.__version__}\n")
+            fh.write(f"# config: {json.dumps(cfg, sort_keys=True, separators=(',', ':'))}\n")
+            np.savetxt(fh, np.column_stack([t.ravel(), x.ravel(), values.ravel()]),
+                       delimiter=",", fmt="%.17g", header="t,x1,value", comments="")
+        assert (tmp_path / "field.csv").read_bytes() == oracle.read_bytes()
+
+    def test_non_finite_row_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        # the table is streamed, so rows before the bad one are already on disk
+        def last_node_inf(grid, stream):
+            path = noise.sample_bm_paths(grid, stream)
+            path[0, -1] = np.inf
+            return path
+
+        monkeypatch.setattr(cli, "sample_bm_paths", last_node_inf)
+        assert run(["noise", "--kind", "bm", "--n-steps", "16", "--out", tmp_path]) == 3
+        assert _last_json(capsys)["error"] == "NumericalError"
+        assert not (tmp_path / "path.csv").exists()
 
     def test_sheet_spdf_container(self, tmp_path):
         assert run(["noise", "--kind", "sheet", "--t", "0.5", "--n-steps", "8",
@@ -524,6 +565,7 @@ class TestRangeChecks:
         ["noise", "--kind", "sheet", "--half-width", "5e-324"],
         ["simulate", "--fit", "--t", "0.5,1,2", "--replicas", "100"],
         # one replica has no standard error
+        ["certificate", "--replicas", "1", "--n-max", "4"],
         ["simulate", "--model", "gbm", "--replicas", "1"],
         ["simulate", "--model", "pam-white", "--t", "0.25", "--n-steps", "8", "--replicas", "1"],
         ["fk", "--hurst", "0.7", "--alpha", "0.5", "--n-quad", "8", "--replicas", "1"],
@@ -533,7 +575,8 @@ class TestRangeChecks:
             "pam-white-n-steps", "chaos-n", "gfbm-hurst-above", "gfbm-hurst-below",
             "holder-time-lags", "gbm-n-steps", "fbm-n-cells-half-width", "heat-beta",
             "dalang-hurst", "pam-white-t-subnormal", "sheet-t-subnormal",
-            "sheet-half-width-subnormal", "fit-three-times", "gbm-one-replica",
+            "sheet-half-width-subnormal", "fit-three-times", "certificate-one-replica",
+            "gbm-one-replica",
             "pam-white-one-replica", "fk-one-replica", "homogeneous-alpha-only"])
     def test_out_of_range_exits_2(self, tmp_path, capsys, argv):
         assert run(argv + ["--seed", "1", "--out", tmp_path / "out"]) == 2

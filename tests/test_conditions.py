@@ -443,7 +443,7 @@ class TestGronwallCertificate:
         (OperatorSpec("heat", 1), 0.7), (OperatorSpec("wave", 1), 2.0), (2.0, 1.0),
     ], ids=["heat", "wave", "constant"])
     @pytest.mark.parametrize("replicas, n_max", [
-        (1, 20), (5, 0), (13_107, 20), (13_109, 20), (200_001, 1),
+        (2, 20), (5, 0), (13_107, 20), (13_109, 20), (200_001, 1),
     ])
     def test_chunked_draws_match_whole_array(self, profile, big_t, replicas, n_max, monkeypatch):
         # 13_107 rows end in a lone row merged into the chunk before it, 13_109 in three

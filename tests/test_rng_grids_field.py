@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from spde_lab import rng
 from spde_lab.errors import DomainError, InputError, NumericalError, SpdeLabError
-from spde_lab.field import Field, read_spdf, write_csv, write_spdf
+from spde_lab.field import Field, read_spdf, write_spdf
 from spde_lab.grids import SpaceTimeGrid, TimeGrid
 from spde_lab.rng import RngStream, map_replica_blocks, replica_blocks, row_chunks
 
@@ -288,18 +288,6 @@ class TestFieldSerialization:
         assert raw[:5] == b"SPDF1"
         payload = np.frombuffer(raw[-f.values.size * 8 :], dtype="<f8")
         assert np.array_equal(payload.reshape(f.values.shape), f.values)
-
-    def test_csv_has_coordinates(self, tmp_path):
-        f = self._field(False)
-        path = tmp_path / "field.csv"
-        write_csv(f, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,x1,value"
-        assert len(lines) == 1 + f.values.size
-        first = [float(v) for v in lines[1].split(",")]
-        assert first[0] == pytest.approx(f.grid.time.cell_centers()[0])
-        assert first[1] == pytest.approx(f.grid.space_centers()[0])
-        assert first[2] == f.values[0, 0]
 
     def test_shape_validation(self):
         grid = SpaceTimeGrid(TimeGrid(1.0, 4), 1.0, 4)
