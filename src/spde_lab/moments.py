@@ -419,8 +419,9 @@ def linear_heat_holder_study(
     Simulates the solution over a window of time nodes ending well inside
     the horizon (default base: 3/4 of the way), wide enough that every time
     lag sees many base points, and fits both exponents on the ensemble.
-    Each replica block draws and convolves its sheets one ``row_chunks``
-    chunk at a time (``linear_heat_node_chunks``) and adds every chunk's
+    Each replica block takes the window's field one ``row_chunks`` chunk of
+    replicas at a time from ``linear_heat_node_chunks``, which draws every
+    sheet in time slabs and never holds a whole one, and adds each chunk's
     sums of |increment|^p, at each time lag and each periodic space lag,
     into block-local sums, with the values' min and max for the fit's
     vanishing-increment check. The block sums are added in block order, so

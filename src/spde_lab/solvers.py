@@ -18,8 +18,12 @@ behind the linear heat solution, its node samples and every Picard iterate
 is evaluated by one causal convolution core, _LinearHeatKernels: an rFFT in
 space and an FFT along time zero-padded to twice the number of steps, so the
 causal Toeplitz sum never wraps. One pass costs O(nt log nt * nx) plus the
-space transforms, in place of the O(nt^2 * nx) lag sum; the padded time
-spectra are taken a chunk of spatial frequencies at a time.
+space transforms, in place of the O(nt^2 * nx) lag sum. Its kernel spectrum
+is built in place, one lag at a time. One time pass, taken a chunk of
+spatial frequencies at a time, turns space spectra into node values: Picard
+hands it the rFFT of a chunk of integrands, and the node sampler one
+replica's spectrum, rFFTed one time slab at a time as the sheet is drawn,
+so no whole sheet is ever held.
 
 Chaos-series closed forms. The multiplicative-noise chaos term of order n
 for the 1-d heat model has variance (t/4)^(n/2) / Gamma(n/2 + 1); summing
@@ -317,42 +321,75 @@ class _LinearHeatKernels:
     def __init__(self, grid: SpaceTimeGrid):
         if grid.dim != 1:
             raise CapabilityError("linear heat solver supports d = 1 only")
-        g = _lagged_heat_kernels(grid)
-        # time axis last: shape (n_cells // 2 + 1, 2 nt)
-        self.spectrum = np.fft.fft(np.fft.rfft(g, axis=1).T, n=2 * grid.time.n_steps, axis=1)
+        nt, dt = grid.time.n_steps, grid.time.dt
+        # time axis last, shape (n_cells // 2 + 1, 2 nt), built in place: column
+        # m < nt + 1 takes the space rFFT of g[m] (g[0]'s too, for its signed
+        # zeros), the rest is the time padding; then one in-place time FFT
+        self.spectrum = np.zeros((grid.n_cells // 2 + 1, 2 * nt), dtype=complex)
+        for m in range(nt + 1):
+            g_m = _heat_kernel_vector(grid, (m - 0.5) * dt) if m else np.zeros(grid.n_cells)
+            np.fft.rfft(g_m, out=self.spectrum[:, m])
+        np.fft.fft(self.spectrum, axis=1, out=self.spectrum)
 
     def convolve(self, phi: np.ndarray, rows, out: np.ndarray | None = None) -> np.ndarray:
         """u at the time nodes ``rows`` for integrands phi of shape (R, nt, nx).
 
         Returns shape (R, len(rows), nx), written into ``out`` when given;
-        node 0 is exactly zero. Replicas go
-        through in ``rng.row_chunks`` chunks (at least two replicas' worth),
-        and each chunk's padded time FFT, product with the kernel spectrum and
-        inverse FFT run over ``row_chunks`` of its spatial frequencies, so the
-        padded spectra held at once stay near ``rng.CHUNK_BYTES``. Every
-        time-FFT line is transformed on its own, so the split leaves the bits
-        as one whole-spectrum pass would.
+        node 0 is exactly zero. Replicas go through in ``rng.row_chunks``
+        chunks (at least two replicas' worth): each chunk's space rFFT goes
+        through ``_time_pass``.
         """
         rows = np.asarray(rows, dtype=int)
-        count, nt, nx = phi.shape
+        count, _, nx = phi.shape
         nf, n_fft = self.spectrum.shape
         if out is None:
             out = np.empty((count, rows.size, nx))
         for lo, hi in row_chunks(count, 16 * nf * n_fft):
-            space = np.fft.rfft(phi[lo:hi], axis=2).transpose(0, 2, 1)  # (c, nf, nt)
-            parts = []
-            for a, b in row_chunks(nf, 16 * (hi - lo) * n_fft):
-                spec = np.zeros((hi - lo, b - a, n_fft), dtype=complex)
-                spec[:, :, :nt] = space[:, a:b]
-                np.fft.fft(spec, axis=2, out=spec)
-                spec *= self.spectrum[a:b]
-                np.fft.ifft(spec, axis=2, out=spec)
-                parts.append(spec[:, :, rows])
-            # a whole spectrum in one chunk (Picard's grid) is used without a copy
-            picked = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-            np.fft.irfft(picked.transpose(0, 2, 1), n=nx, axis=2, out=out[lo:hi])
-        out[:, rows == 0] = 0.0
+            self._time_pass(np.fft.rfft(phi[lo:hi], axis=2), rows, out[lo:hi])
         return out
+
+    def _time_pass(self, space: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
+        """u at the time nodes ``rows`` from space spectra of shape (c, nt, nf), into out.
+
+        The padded time FFT, the product with the kernel spectrum and the
+        inverse FFT run over ``row_chunks`` of the spatial frequencies in one
+        reused buffer, so the padded spectra held at once stay near
+        ``rng.CHUNK_BYTES``; the nodes of each chunk are gathered into one
+        (c, nf, len(rows)) array, whose inverse rFFT is ``out``, shape
+        (c, len(rows), nx). Every FFT line is transformed on its own, so the
+        split leaves the bits as one whole-spectrum pass would.
+        """
+        count, nt, nf = space.shape
+        n_fft = self.spectrum.shape[1]
+        freq_chunks = row_chunks(nf, 16 * count * n_fft)
+        spec_buf = np.empty((count, max(b - a for a, b in freq_chunks), n_fft), dtype=complex)
+        picked = np.empty((count, nf, rows.size), dtype=complex)
+        for a, b in freq_chunks:
+            spec = spec_buf[:, : b - a]
+            spec[:, :, :nt] = space[:, :, a:b].transpose(0, 2, 1)
+            spec[:, :, nt:] = 0.0
+            np.fft.fft(spec, axis=2, out=spec)
+            spec *= self.spectrum[a:b]
+            np.fft.ifft(spec, axis=2, out=spec)
+            picked[:, a:b] = spec[:, :, rows]
+        np.fft.irfft(picked.transpose(0, 2, 1), n=out.shape[2], axis=2, out=out)
+        out[:, rows == 0] = 0.0
+
+
+def _grid_indices(values, stop: int, ndim: int, what: str) -> np.ndarray:
+    """``values`` as an int array of ``ndim`` (0 or 1) dimensions inside 0..stop-1.
+
+    The one index rule of the linear heat samplers: booleans, floats, other
+    shapes and indices outside the grid raise InputError instead of being
+    truncated, wrapped or read as a mask.
+    """
+    idx = np.asarray(values)
+    if idx.dtype.kind not in "iu" or idx.ndim != ndim:
+        shape = "an integer" if ndim == 0 else "a 1-d list of integers"
+        raise InputError(f"{what} must be {shape}, got {values!r}")
+    if np.any(idx < 0) or np.any(idx >= stop):
+        raise InputError(f"{what} {values!r} outside 0..{stop - 1}")
+    return idx.astype(int)
 
 
 def linear_heat_point_weights(grid: SpaceTimeGrid, k: int, ix: int) -> np.ndarray:
@@ -360,8 +397,8 @@ def linear_heat_point_weights(grid: SpaceTimeGrid, k: int, ix: int) -> np.ndarra
     if grid.dim != 1:
         raise CapabilityError("linear heat solver supports d = 1 only")
     nt = grid.time.n_steps
-    if not 0 <= k <= nt:
-        raise InputError(f"time index {k} outside 0..{nt}")
+    k = int(_grid_indices(k, nt + 1, 0, "time index"))
+    ix = int(_grid_indices(ix, grid.n_cells, 0, "space index"))
     # row j < k holds g[k - j], centred on x_ix
     a = np.zeros((nt, grid.n_cells))
     a[:k] = np.roll(_lagged_heat_kernels(grid)[k:0:-1], ix, axis=1)
@@ -405,25 +442,36 @@ def linear_heat_point_samples(
 def linear_heat_node_chunks(grid: SpaceTimeGrid, node_indices: np.ndarray):
     """The chunked sampler behind ``linear_heat_node_samples``.
 
-    Returns ``chunks(gen, count)``, a generator over ``(lo, hi, u)``: it
-    draws the white-noise sheets of replicas lo..hi-1 of a block of
-    ``count``, one ``rng.row_chunks`` chunk at a time in order from the
-    block's generator, and yields u at the nodes, shape (hi - lo,
-    len(nodes), nx). Block functions that reduce each chunk as it comes
-    hold no per-replica array beyond one chunk.
+    Returns ``chunks(gen, count)``, a generator over ``(lo, hi, u)``: u is
+    the field at the nodes for replicas lo..hi-1 of a block of ``count``,
+    shape (hi - lo, len(nodes), nx), one ``rng.row_chunks`` chunk of
+    replicas at a time. Each replica's white-noise sheet is drawn in order
+    from the block's generator in ``row_chunks`` time slabs into one reused
+    slab, scaled, and rFFTed into one reused (nt, nf) space spectrum; the
+    core's time pass turns that spectrum into the replica's rows of u. The
+    draws are those of one (count, nt, nx) draw, and a block holds one slab,
+    one spectrum and one chunk of u, never a whole sheet. Block functions
+    that reduce each chunk as it comes hold no per-replica array beyond it.
+    Node indices are integers in 0..nt, in any order, repeats allowed.
     """
-    nodes = np.asarray(node_indices, dtype=int)
     nt, nx = grid.time.n_steps, grid.n_cells
-    if np.any(nodes < 0) or np.any(nodes > nt):
-        raise InputError("node indices outside the grid")
+    nodes = _grid_indices(node_indices, nt + 1, 1, "node indices")
     kernels = _LinearHeatKernels(grid)
     scale = math.sqrt(grid.cell_volume)
+    slabs = row_chunks(nt, 8 * nx)
 
     def chunks(gen, count):
+        slab_buf = np.empty((max(b - a for a, b in slabs), nx))
+        space = np.empty((nt, kernels.spectrum.shape[0]), dtype=complex)
         for lo, hi in row_chunks(count, 8 * nt * nx):
-            w = gen.standard_normal((hi - lo, nt, nx))
-            w *= scale
-            yield lo, hi, kernels.convolve(w, nodes)
+            u = np.empty((hi - lo, nodes.size, nx))
+            for r in range(hi - lo):
+                for a, b in slabs:
+                    w = gen.standard_normal(out=slab_buf[: b - a])
+                    w *= scale
+                    np.fft.rfft(w, axis=1, out=space[a:b])
+                kernels._time_pass(space[None], nodes, u[r : r + 1])
+            yield lo, hi, u
 
     return chunks
 
@@ -438,8 +486,10 @@ def linear_heat_node_samples(
 ) -> np.ndarray:
     """Samples of u at several time nodes, all x: shape (R, len(nodes), nx).
 
-    Each replica block draws and convolves one chunk of sheets at a time
-    (``linear_heat_node_chunks``), without the full field history.
+    Each replica block fills its rows one chunk of replicas at a time from
+    ``linear_heat_node_chunks``, which draws every sheet in time slabs, so a
+    block holds neither a whole sheet nor the field history. The node
+    indices are integers in 0..nt; anything else raises InputError.
     """
     chunks = linear_heat_node_chunks(grid, node_indices)
     shape = (np.size(node_indices), grid.n_cells)

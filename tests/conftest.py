@@ -1,4 +1,16 @@
+import tracemalloc
+
 results: list[str] = []
+
+
+def traced_peak(fn) -> int:
+    """The peak of the memory that tracemalloc traces while ``fn()`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def pytest_terminal_summary(terminalreporter):

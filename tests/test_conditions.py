@@ -1,7 +1,6 @@
 import math
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +20,8 @@ from spde_lab.conditions import (
 from spde_lab.errors import CapabilityError, DomainError, InputError, NumericalError
 from spde_lab.kernels import OperatorSpec
 from spde_lab.rng import CHUNK_BYTES, RngStream, as_generator
+
+from conftest import traced_peak
 
 ALPHAS = (0.25, 0.75, 1.25, 1.75)
 HURSTS = (0.55, 0.65, 0.75, 0.85, 0.95)
@@ -462,15 +463,9 @@ class TestGronwallCertificate:
     def test_peak_memory_does_not_grow_with_replicas(self):
         # one (400_000, 20) float array alone is 64 MB; a chunk's arrays stay near CHUNK_BYTES
         for replicas in (20_000, 400_000):
-            tracemalloc.start()
-            try:
-                dalang_gronwall_certificate(
-                    OperatorSpec("heat", 1), 1.0, n_max=20, mc_replicas=replicas,
-                    rng=RngStream(2),
-                )
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            peak = traced_peak(lambda: dalang_gronwall_certificate(
+                OperatorSpec("heat", 1), 1.0, n_max=20, mc_replicas=replicas, rng=RngStream(2),
+            ))
             assert peak < 6 * CHUNK_BYTES, replicas
 
     def test_horizon_beyond_float_range_raises(self):

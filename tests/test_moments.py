@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +30,8 @@ from spde_lab.solvers import (
     linear_heat_node_samples,
     pam_log_second_moment,
 )
+
+from conftest import traced_peak
 
 
 class TestEstimateMoments:
@@ -340,14 +341,9 @@ class TestFkSecondMoment:
         replicas, n_quad = 256, 64
         whole = 8 * replicas * n_quad * n_quad
         for d, bound in ((1, 0.5), (2, 1.0)):
-            tracemalloc.start()
-            try:
-                fk_second_moment(
-                    0.2, self.SPEC, d, replicas, n_quad, RngStream(3), block_size=256
-                )
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            peak = traced_peak(lambda: fk_second_moment(
+                0.2, self.SPEC, d, replicas, n_quad, RngStream(3), block_size=256
+            ))
             assert peak < bound * whole, d
 
 
@@ -578,14 +574,10 @@ class TestHolderStudy:
         replicas, window, nx = 128, 129, 256
         whole = 8 * replicas * window * nx
         assert whole >= 32 * 2**20
-        tracemalloc.start()
-        try:
-            linear_heat_holder_study(self.GRID, replicas, RngStream(23),
-                                     time_lags=(4, 8, 16, 32, 64), space_lags=(2, 4, 8, 16),
-                                     base_node=128)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: linear_heat_holder_study(
+            self.GRID, replicas, RngStream(23), time_lags=(4, 8, 16, 32, 64),
+            space_lags=(2, 4, 8, 16), base_node=128,
+        ))
         assert peak < 0.5 * whole
 
     @pytest.mark.parametrize("p", [0.5, np.nan])

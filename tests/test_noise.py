@@ -1,6 +1,5 @@
 import math
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +27,8 @@ from spde_lab.noise import (
     time_factor_matrix,
 )
 from spde_lab.rng import RngStream
+
+from conftest import traced_peak
 
 
 def grid_cell(grid: SpaceTimeGrid, k: int, ix) -> Cell:
@@ -194,12 +195,7 @@ class TestFbm:
 
     def test_memory_below_one_covariance(self):
         n, n_paths = 2048, 64
-        tracemalloc.start()
-        try:
-            sample_fbm_paths(0.7, TimeGrid(1.0, n), RngStream(2), n_paths)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: sample_fbm_paths(0.7, TimeGrid(1.0, n), RngStream(2), n_paths))
         assert peak < 8 * n_paths * (n + 1) + 8 * n * n
 
 

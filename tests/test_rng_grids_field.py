@@ -1,7 +1,6 @@
 import itertools
 import struct
 import time
-import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -14,6 +13,8 @@ from spde_lab.errors import DomainError, InputError, NumericalError, SpdeLabErro
 from spde_lab.field import Field, read_spdf, write_spdf
 from spde_lab.grids import SpaceTimeGrid, TimeGrid
 from spde_lab.rng import RngStream, map_replica_blocks, replica_blocks, row_chunks
+
+from conftest import traced_peak
 
 
 class TestRngStream:
@@ -140,16 +141,14 @@ class TestRngStream:
         monkeypatch.setattr(rng.os, "cpu_count", lambda: 2)
         mb = 2**20
         fn = lambda g, n: g.standard_normal((n, mb // 8))  # noqa: E731
-        tracemalloc.start()
-        try:
-            firsts = []
+        firsts = []
+
+        def consume():
             for start, block in replica_blocks(40, fn, RngStream(3), block_size=1, threads=2):
                 firsts.append(block[0, 0])
                 time.sleep(0.01)
-            del block
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        peak = traced_peak(consume)
         assert peak < 8 * mb
         serial = [b[0, 0] for _, b in replica_blocks(40, fn, RngStream(3), block_size=1)]
         assert firsts == serial

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +34,8 @@ from spde_lab.solvers import (
     solve_nonlinear_heat_picard,
     solve_pam_euler,
 )
+
+from conftest import traced_peak
 
 
 class TestItoSum:
@@ -201,15 +202,10 @@ class TestPicardOracles:
         grid = SpaceTimeGrid(TimeGrid(0.25, 16), 2.0, 32)
         n_iter, replicas = 4, 2000
         full_bytes = replicas * (n_iter + 1) * 17 * 32 * 8
-        tracemalloc.start()
-        try:
-            solve_nonlinear_heat_picard(
-                LipschitzFn.identity(), grid, RngStream(43), n_iter, replicas,
-                initial=1.0, block_size=100,
-            )
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: solve_nonlinear_heat_picard(
+            LipschitzFn.identity(), grid, RngStream(43), n_iter, replicas,
+            initial=1.0, block_size=100,
+        ))
         assert peak < 0.5 * full_bytes
 
     @pytest.mark.parametrize("replicas, n_iter", [(2000, 4), (4000, 4), (2000, 8)])
@@ -217,15 +213,10 @@ class TestPicardOracles:
         # blocks return (n_iter, 17, 32) sums, so one bound holds whatever
         # the replica count and the number of iterations
         grid = SpaceTimeGrid(TimeGrid(0.25, 16), 2.0, 32)
-        tracemalloc.start()
-        try:
-            solve_nonlinear_heat_picard(
-                LipschitzFn.identity(), grid, RngStream(43), n_iter, replicas,
-                initial=1.0, block_size=100, threads=2,
-            )
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: solve_nonlinear_heat_picard(
+            LipschitzFn.identity(), grid, RngStream(43), n_iter, replicas,
+            initial=1.0, block_size=100, threads=2,
+        ))
         assert peak < PICARD_PEAK_BOUND
 
 
@@ -385,14 +376,15 @@ def replica_sheets(grid: SpaceTimeGrid, seed: int, replicas: int, block_size: in
 
 
 def old_node_samples(grid, nodes, replicas, rng, block_size, threads):
-    """The node sampler as it was before per-chunk draws, one draw per block; the oracle."""
+    """The node sampler as it was before per-chunk draws, one draw per block,
+    convolved in one whole spectrum; the oracle."""
     kernels = solvers._LinearHeatKernels(grid)
     scale = math.sqrt(grid.cell_volume)
 
     def block(gen, count):
         w = gen.standard_normal((count, grid.time.n_steps, grid.n_cells))
         w *= scale
-        return kernels.convolve(w, nodes)
+        return whole_spectrum_convolve(kernels, w, nodes)
 
     return map_replica_blocks(replicas, block, rng, block_size, threads)
 
@@ -466,6 +458,45 @@ class TestLinearHeat:
         ref = old_node_samples(grid, nodes, 11, RngStream(15), 5, threads)
         assert x.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("grid, nodes, replicas, block_size, slabs", [
+        # 1024-cell rows make 128-row time slabs, so nt = 257 splits as 128 +
+        # 129 with a lone row merged; 2.1 MB sheets make two-replica chunks,
+        # and 7 replicas in blocks of 3 leave a one-replica block
+        pytest.param(SpaceTimeGrid(TimeGrid(0.25, 257), 4.0, 1024), [257, 0, 5, 5, 130, 3],
+                     7, 3, [(0, 128), (128, 257)], id="uneven-slabs"),
+        # one slab holds the whole sheet; blocks of one replica each
+        pytest.param(SpaceTimeGrid(TimeGrid(0.3, 15), 3.0, 33), [15, 1, 1, 0, 7],
+                     3, 1, [(0, 15)], id="one-replica-blocks"),
+    ])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_node_samples_bit_identical_to_old_sampler(
+        self, grid, nodes, replicas, block_size, slabs, threads
+    ):
+        assert rng.row_chunks(grid.time.n_steps, 8 * grid.n_cells) == slabs
+        nodes = np.array(nodes)
+        x = linear_heat_node_samples(grid, nodes, replicas, RngStream(18), block_size, threads)
+        ref = old_node_samples(grid, nodes, replicas, RngStream(18), block_size, threads)
+        assert x.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("grid", [
+        *CORE_GRIDS,
+        pytest.param(SpaceTimeGrid(TimeGrid(0.3, 1), 3.0, 8), id="one-step"),
+        pytest.param(SpaceTimeGrid(TimeGrid(0.25, 1024), 4.0, 512), id="hoelder"),
+    ])
+    def test_spectrum_bit_identical_to_one_shot_build(self, grid):
+        nt = grid.time.n_steps
+        # the table of every lagged kernel, its space rFFT and the padded time FFT, at once
+        oracle = np.fft.fft(
+            np.fft.rfft(solvers._lagged_heat_kernels(grid), axis=1).T, n=2 * nt, axis=1
+        )
+        assert solvers._LinearHeatKernels(grid).spectrum.tobytes() == oracle.tobytes()
+
+    def test_spectrum_build_holds_one_spectrum(self):
+        # the one-shot build held the (nt + 1, nx) table and two complex spectra: 2.0x
+        grid = SpaceTimeGrid(TimeGrid(0.25, 256), 4.0, 512)
+        spectrum_bytes = 16 * (512 // 2 + 1) * 2 * 256
+        assert traced_peak(lambda: solvers._LinearHeatKernels(grid)) < 1.1 * spectrum_bytes
+
     @pytest.mark.parametrize("grid, count, n_freq_chunks", [
         # two-replica chunks of a 4 MB spectrum split into four frequency chunks,
         # the last with a lone frequency merged in (257 = 3 * 64 + 65)
@@ -488,13 +519,62 @@ class TestLinearHeat:
         # one block of 64 sheets is 32 MB of noise, which a whole-block draw holds at once
         grid = SpaceTimeGrid(TimeGrid(0.25, 256), 4.0, 256)
         block_noise = 64 * 256 * 256 * 8
-        tracemalloc.start()
-        try:
-            linear_heat_node_samples(grid, np.arange(192, 225), 64, RngStream(16), 64)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(
+            lambda: linear_heat_node_samples(grid, np.arange(192, 225), 64, RngStream(16), 64)
+        )
         assert peak < 0.5 * block_noise
+
+    def test_node_samples_peak_beyond_spectrum_below_four_sheets(self):
+        # a block holds one time slab, one (nt, nf) space spectrum and one chunk
+        # of u, not two replicas' sheets and their space spectra: the whole-sheet
+        # sampler peaked at 5.8 sheets beyond the kernel spectrum, this one at 2.7
+        grid = SpaceTimeGrid(TimeGrid(0.25, 512), 4.0, 512)
+        sheet_bytes = 8 * 512 * 512
+        assert sheet_bytes >= 2 * 2**20
+        spectrum_bytes = solvers._LinearHeatKernels(grid).spectrum.nbytes
+        peak = traced_peak(
+            lambda: linear_heat_node_samples(grid, np.arange(448, 513), 2, RngStream(19))
+        )
+        assert peak - spectrum_bytes < 4 * sheet_bytes
+
+    # the 24-cell grid of _grid(), 16 steps: every index is an integer inside it
+    @pytest.mark.parametrize("ix", [
+        pytest.param(24, id="past-last-cell"),
+        pytest.param(-1, id="negative"),
+        pytest.param(10**6, id="huge"),
+        pytest.param(2.5, id="float"),
+    ])
+    def test_point_weights_reject_space_index(self, ix):
+        with pytest.raises(InputError, match="space index"):
+            linear_heat_point_weights(self._grid(), 16, ix)
+
+    @pytest.mark.parametrize("k", [
+        pytest.param(2.5, id="float"),
+        pytest.param(17, id="past-last-node"),
+        pytest.param(-1, id="negative"),
+    ])
+    def test_point_weights_reject_time_index(self, k):
+        with pytest.raises(InputError, match="time index"):
+            linear_heat_point_weights(self._grid(), k, 3)
+
+    @pytest.mark.parametrize("nodes", [
+        pytest.param([2.5], id="float"),
+        pytest.param([True, False], id="boolean-mask"),
+        pytest.param([[1, 2]], id="two-dimensional"),
+        pytest.param([0, 17], id="past-last-node"),
+        pytest.param([-1], id="negative"),
+        pytest.param([], id="empty"),
+    ])
+    def test_node_samples_reject_node_indices(self, nodes):
+        with pytest.raises(InputError, match="node indices"):
+            linear_heat_node_samples(self._grid(), nodes, 2, RngStream(0))
+
+    def test_indices_accept_numpy_integers(self):
+        grid = self._grid()
+        a = linear_heat_point_weights(grid, np.int64(16), np.uint8(12))
+        assert a.tobytes() == linear_heat_point_weights(grid, 16, 12).tobytes()
+        x = linear_heat_node_samples(grid, np.array([16, 3], dtype=np.uint16), 2, RngStream(0))
+        assert x.tobytes() == linear_heat_node_samples(grid, [16, 3], 2, RngStream(0)).tobytes()
 
     def test_point_weights_match_solver(self):
         grid = self._grid()
@@ -755,13 +835,7 @@ class TestPamEuler:
             block = solvers.pam_white_block(SpaceTimeGrid(TimeGrid(0.25, n_steps), 4.0, 64), 32)
             gen = RngStream(3).generator()
             block(gen, 64)  # the first call in a process also fills numpy's caches
-            tracemalloc.start()
-            try:
-                block(gen, 64)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            peaks.append(peak)
+            peaks.append(traced_peak(lambda: block(gen, 64)))
         assert peaks[1] < 1.25 * peaks[0]
 
     def test_overflow_raises(self):
