@@ -32,7 +32,6 @@ from spde_lab.solvers import (
     pam_second_moment,
     pam_second_moment_closed_form,
     solve_nonlinear_heat_picard,
-    solve_pam_euler,
 )
 
 from conftest import traced_peak
@@ -74,6 +73,23 @@ class TestItoSum:
             rms.append(np.sqrt((resid**2).mean()))
         assert rms[0] / rms[1] >= 1.3
         assert rms[1] / rms[2] >= 1.3
+
+
+def affine(a: float, b: float) -> LipschitzFn:
+    """sigma(x) = a x + b, Lipschitz with constant |a|."""
+    return LipschitzFn(lambda x: a * x + b, abs(a), f"affine({a},{b})")
+
+
+def bounded_smooth(name: str) -> LipschitzFn:
+    """A bounded smooth sigma (sin or tanh), Lipschitz with constant 1."""
+    return LipschitzFn({"sin": np.sin, "tanh": np.tanh}[name], 1.0, name)
+
+
+def check_constant(sigma: LipschitzFn, rng, trials: int = 256, scale: float = 10.0) -> bool:
+    """Spot-check |sigma(x)-sigma(y)| <= C |x-y| on random pairs."""
+    x, y = rng.generator().uniform(-scale, scale, (2, trials))
+    lhs = np.abs(np.asarray(sigma(x)) - np.asarray(sigma(y)))
+    return bool(np.all(lhs <= sigma.lipschitz_constant * np.abs(x - y) + 1e-12))
 
 
 def block_order_mean(rows: np.ndarray, block_size: int) -> np.ndarray:
@@ -166,8 +182,8 @@ def old_heat_picard(sigma, grid, rng, n_iter, replicas, initial, block_size, thr
 
 ORACLE_SIGMAS = [
     pytest.param(LipschitzFn.identity(), id="identity"),
-    pytest.param(LipschitzFn.bounded_smooth("sin"), id="sin"),
-    pytest.param(LipschitzFn.affine(0.5, 0.3), id="affine"),
+    pytest.param(bounded_smooth("sin"), id="sin"),
+    pytest.param(affine(0.5, 0.3), id="affine"),
 ]
 
 
@@ -222,13 +238,13 @@ class TestPicardOracles:
 
 class TestSdePicard:
     def test_zero_sigma(self):
-        tr = solve_sde_picard(LipschitzFn.affine(0, 0), TimeGrid(1.0, 32), RngStream(1), 4, 16)
+        tr = solve_sde_picard(affine(0, 0), TimeGrid(1.0, 32), RngStream(1), 4, 16)
         assert np.all(tr.sup_sq_diffs == 0.0)
         assert np.all(tr.final_sample == 0.0)
 
     def test_constant_sigma_fixed_point(self):
         # sigma = 1: X_1 = B and the iteration is stationary afterwards
-        tr = solve_sde_picard(LipschitzFn.affine(0, 1), TimeGrid(1.0, 32), RngStream(2), 4, 64)
+        tr = solve_sde_picard(affine(0, 1), TimeGrid(1.0, 32), RngStream(2), 4, 64)
         assert tr.sup_sq_diffs[0] > 0
         assert np.all(tr.sup_sq_diffs[1:] == 0.0)
 
@@ -265,10 +281,11 @@ class TestSdePicard:
         assert np.allclose(a.sup_sq_diffs, b.sup_sq_diffs[:5], rtol=0, atol=0)
 
     def test_lipschitz_spot_check(self):
-        assert LipschitzFn.identity().check_constant(RngStream(0))
-        assert LipschitzFn.bounded_smooth("tanh").check_constant(RngStream(1))
+        # the oracle coefficients above hold their stated constants
+        assert check_constant(LipschitzFn.identity(), RngStream(0))
+        assert check_constant(bounded_smooth("tanh"), RngStream(1))
         bad = LipschitzFn(lambda x: x * x, 1.0, "quadratic")
-        assert not bad.check_constant(RngStream(2))
+        assert not check_constant(bad, RngStream(2))
 
     def test_trace_serialization_and_invariants(self):
         tr = solve_sde_picard(
@@ -286,7 +303,7 @@ class TestSdePicard:
         # u_1 = 1e200, so the first squared difference overflows
         with pytest.raises(NumericalError, match="not finite"):
             solve_sde_picard(
-                LipschitzFn.affine(1e200, 0), TimeGrid(0.5, 16), RngStream(4), 3, 8,
+                affine(1e200, 0), TimeGrid(0.5, 16), RngStream(4), 3, 8,
                 initial=1e200,
             )
 
@@ -375,6 +392,19 @@ def replica_sheets(grid: SpaceTimeGrid, seed: int, replicas: int, block_size: in
     return np.concatenate(sheets) * math.sqrt(grid.cell_volume)
 
 
+def kept_cell_sheets(grid: SpaceTimeGrid, k: int, ix: int, seed: int, replicas: int,
+                     block_size: int):
+    """The scaled sheets behind the point samples, in replica order: each block's
+    (count, n_kept) draws on the kept cells in row-major order, zeros elsewhere."""
+    kept = solvers._kept_cells(linear_heat_point_weights(grid, k, ix))
+    sheets = np.zeros((replicas, grid.time.n_steps * grid.n_cells))
+    for b, start in enumerate(range(0, replicas, block_size)):
+        count = min(block_size, replicas - start)
+        z = RngStream(seed).substream(b).generator().standard_normal((count, kept.size))
+        sheets[start : start + count, kept] = z
+    return sheets.reshape((replicas,) + grid.cell_shape()) * math.sqrt(grid.cell_volume)
+
+
 def old_node_samples(grid, nodes, replicas, rng, block_size, threads):
     """The node sampler as it was before per-chunk draws, one draw per block,
     convolved in one whole spectrum; the oracle."""
@@ -410,6 +440,17 @@ CORE_GRIDS = [
     pytest.param(SpaceTimeGrid(TimeGrid(0.25, 16), 4.0, 24), id="nx24"),
     pytest.param(SpaceTimeGrid(TimeGrid(0.25, 16), 4.0, 40), id="nx40"),
     pytest.param(SpaceTimeGrid(TimeGrid(0.3, 15), 3.0, 33), id="odd-nt15"),
+]
+
+
+CRITERION_7_GRID = SpaceTimeGrid(TimeGrid(1.0, 1024), 8.0, 256)
+
+KEPT_SET_NODES = [
+    pytest.param(CRITERION_7_GRID, 1024, 128, id="criterion-7"),
+    pytest.param(CRITERION_7_GRID, 1, 128, id="k1"),
+    pytest.param(CRITERION_7_GRID, 0, 128, id="k0"),
+    # wide kernels on 8 cells: every nonzero weight is kept
+    pytest.param(SpaceTimeGrid(TimeGrid(1.0, 4), 2.0, 8), 4, 3, id="coarse"),
 ]
 
 
@@ -592,10 +633,11 @@ class TestLinearHeat:
         for j in range(0, k):
             oracle[j] = heat_kernel((k - j - 0.5) * dt, np.roll(disp, ix), 1)
         assert linear_heat_point_weights(grid, k, ix).tobytes() == oracle.tobytes()
+        # the samples: one draw per kept cell, dotted with the packed weights
+        w = oracle.ravel()[solvers._kept_cells(oracle)]
 
         def block(gen, count):
-            z = gen.standard_normal((count,) + oracle.shape)
-            return math.sqrt(grid.cell_volume) * np.tensordot(z, oracle, axes=((1, 2), (0, 1)))
+            return math.sqrt(grid.cell_volume) * (gen.standard_normal((count, w.size)) @ w)
 
         x = linear_heat_point_samples(grid, k, ix, 10, RngStream(44), block_size=3, threads=2)
         assert x.tobytes() == map_replica_blocks(10, block, RngStream(44), 3).tobytes()
@@ -603,29 +645,63 @@ class TestLinearHeat:
     def test_point_samples_match_per_replica_solves(self):
         grid = self._grid()
         samples = linear_heat_point_samples(grid, 16, 12, 3, RngStream(9), block_size=1)
-        for r in range(3):
-            w = sample_white_noise_sheet(grid, RngStream(9, r))
-            u = solve_linear_heat(grid, w.values)
+        for r, w in enumerate(kept_cell_sheets(grid, 16, 12, 9, 3, 1)):
+            u = solve_linear_heat(grid, w)
             assert samples[r] == pytest.approx(u[16, 12], rel=1e-12)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_point_samples_chunked_match_per_replica_solves(self, monkeypatch, threads):
-        # a budget of two sheets splits blocks of 7 into chunks of 2, 2 and 3;
-        # 17 = 7 + 7 + 3 leaves a last block of 3, one chunk
+        # a budget of two rows of packed weights splits blocks of 7 into chunks
+        # of 2, 2 and 3; 17 = 7 + 7 + 3 leaves a last block of 3, one chunk
         grid = self._grid()
         k, ix = 16, 12
-        sheet_bytes = linear_heat_point_weights(grid, k, ix).nbytes
-        monkeypatch.setattr(rng, "CHUNK_BYTES", 2 * sheet_bytes)
-        assert rng.row_chunks(7, sheet_bytes) == [(0, 2), (2, 4), (4, 7)]
+        a = linear_heat_point_weights(grid, k, ix)
+        row_bytes = a.ravel()[solvers._kept_cells(a)].nbytes
+        monkeypatch.setattr(rng, "CHUNK_BYTES", 2 * row_bytes)
+        assert rng.row_chunks(7, row_bytes) == [(0, 2), (2, 4), (4, 7)]
         x = linear_heat_point_samples(grid, k, ix, 17, RngStream(45), block_size=7,
                                       threads=threads)
         oracle = np.array([
             solve_linear_heat(grid, w)[k, ix]
-            for w in replica_sheets(grid, 45, 17, 7)
+            for w in kept_cell_sheets(grid, k, ix, 45, 17, 7)
         ])
         assert np.max(np.abs(x - oracle)) <= 1e-12 * np.max(np.abs(oracle))
         one = linear_heat_point_samples(grid, k, ix, 17, RngStream(45), block_size=7)
         assert x.tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("grid, k, ix", KEPT_SET_NODES)
+    def test_kept_cells_carry_the_point_variance(self, grid, k, ix):
+        a = linear_heat_point_weights(grid, k, ix)
+        kept = solvers._kept_cells(a)
+        assert np.all(np.diff(kept) > 0)  # row-major order
+        w = a.ravel()[kept]
+        var = linear_heat_point_variance(grid, k, ix)
+        assert abs(np.sum(w * w) * grid.cell_volume - var) <= 1e-15 * var
+        # the dropped cells are the smallest and carry at most 2^-53 of sum a^2
+        dropped = np.delete(a.ravel(), kept)
+        if kept.size:
+            assert np.max(np.abs(dropped), initial=0.0) <= np.min(np.abs(w))
+        assert math.fsum(dropped**2) <= 2.0**-53 * math.fsum(a.ravel() ** 2)
+        if k == 0:
+            assert kept.size == 0 and var == 0.0
+        elif k == 1:
+            assert 0 < kept.size <= 8  # one narrow kernel row
+        elif grid.time.n_steps == 4:
+            assert kept.tolist() == np.flatnonzero(a).tolist()  # no nonzero weight dropped
+        else:
+            assert kept.size < 0.5 * a.size
+
+    @pytest.mark.parametrize("grid, k, ix", KEPT_SET_NODES)
+    def test_point_samples_thread_invariant(self, grid, k, ix):
+        x = linear_heat_point_samples(grid, k, ix, 10, RngStream(46), block_size=3)
+        for threads in (2, 4):
+            again = linear_heat_point_samples(grid, k, ix, 10, RngStream(46), block_size=3,
+                                              threads=threads)
+            assert again.tobytes() == x.tobytes()
+        if k == 0:
+            assert np.all(x == 0.0)
+        else:
+            assert np.all(x != 0.0)
 
     def test_discrete_variance_tracks_g_integral(self):
         # Var u(1, 0) -> int_0^1 (4 pi s)^(-1/2) ds = 1/sqrt(pi); frozen
@@ -656,14 +732,14 @@ class TestNonlinearHeatPicard:
     def test_zero_sigma(self):
         grid = SpaceTimeGrid(TimeGrid(0.25, 8), 2.0, 16)
         tr = solve_nonlinear_heat_picard(
-            LipschitzFn.affine(0, 0), grid, RngStream(1), 3, 4
+            affine(0, 0), grid, RngStream(1), 3, 4
         )
         assert np.all(tr.sup_sq_diffs == 0.0)
 
     def test_constant_sigma_is_linear_solution(self):
         grid = SpaceTimeGrid(TimeGrid(0.25, 16), 4.0, 32)
         tr = solve_nonlinear_heat_picard(
-            LipschitzFn.affine(0, 1), grid, RngStream(8), 3, 1, block_size=1
+            affine(0, 1), grid, RngStream(8), 3, 1, block_size=1
         )
         gen = RngStream(8).substream(0).generator()
         w = gen.standard_normal((1, 16, 32)) * math.sqrt(grid.cell_volume)
@@ -703,7 +779,7 @@ class TestNonlinearHeatPicard:
         grid = SpaceTimeGrid(TimeGrid(0.25, 8), 2.0, 16)
         with pytest.raises(NumericalError, match="not finite"):
             solve_nonlinear_heat_picard(
-                LipschitzFn.affine(1e200, 0), grid, RngStream(24), 3, 10, initial=1e200,
+                affine(1e200, 0), grid, RngStream(24), 3, 10, initial=1e200,
                 block_size=3, threads=2,
             )
 
@@ -769,6 +845,12 @@ def old_pam_euler_final_batch(grid, w_batch, initial=1.0):
         combined = u * (grid.dx + w_batch[:, k])
         u = np.fft.irfft(kern_hat * np.fft.rfft(combined, axis=1), n=nx, axis=1)
     return u
+
+
+def solve_pam_euler(grid, noise, initial=1.0):
+    """The library's Euler march over a batch of cell-mass sheets of shape
+    (R, n_steps, n_cells), which it only reads; the final-time values (R, n_cells)."""
+    return solvers._pam_march(grid, np.swapaxes(noise, 0, 1), len(noise), initial)
 
 
 class TestPamEuler:
@@ -850,14 +932,21 @@ class TestPamEuler:
         with pytest.raises(NumericalError, match="cell width"):
             SpaceTimeGrid(TimeGrid(0.25, 4), 1e308, 4)
 
-    def test_rejects_wrong_sheet_shape(self):
-        grid = SpaceTimeGrid(TimeGrid(0.25, 16), 4.0, 32)
-        for shape in ((2, 17, 32), (2, 16, 31), (16, 32)):
-            with pytest.raises(InputError):
-                solve_pam_euler(grid, np.zeros(shape))
+    def test_march_rejects_two_dimensional_grid(self):
         grid2 = SpaceTimeGrid(TimeGrid(0.25, 4), 1.0, 4, dim=2)
         with pytest.raises(CapabilityError):
-            solve_pam_euler(grid2, np.zeros((1,) + grid2.cell_shape()))
+            solvers.pam_white_block(grid2, 0)(RngStream(0).generator(), 1)
+
+    # an 8-cell grid: the index must be an integer in 0..7
+    @pytest.mark.parametrize("ix", [
+        pytest.param(-1, id="negative"),
+        pytest.param(2.5, id="float"),
+        pytest.param(8, id="n-cells"),
+        pytest.param(True, id="boolean"),
+    ])
+    def test_pam_white_block_rejects_space_index(self, ix):
+        with pytest.raises(InputError, match="space index"):
+            solvers.pam_white_block(SpaceTimeGrid(TimeGrid(0.25, 4), 4.0, 8), ix)
 
     def test_mean_one(self):
         grid = SpaceTimeGrid(TimeGrid(0.25, 64), 4.0, 128)
