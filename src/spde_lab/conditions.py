@@ -73,22 +73,11 @@ class SpectralMeasure:
             raise DomainError(f"measure constant must be positive, got {self.constant}")
 
     @staticmethod
-    def lebesgue() -> "SpectralMeasure":
-        return SpectralMeasure(0.0, 1.0)
-
-    @staticmethod
     def riesz_dual(alpha: float, d: int) -> "SpectralMeasure":
         """Spectral measure of the Riesz kernel |x|^(-alpha): density ~ |xi|^(alpha-d)."""
         if not 0.0 < alpha < d:
             raise DomainError(f"Riesz measure needs alpha in (0, d)=(0,{d}), got {alpha}")
         return SpectralMeasure(alpha - d, 1.0)
-
-    @staticmethod
-    def fractional_time(hurst: float) -> "SpectralMeasure":
-        """Spectral measure of |t|^(2H-2) on R: density ~ |tau|^(1-2H)."""
-        if not 0.0 < hurst < 1.0:
-            raise DomainError(f"Hurst index must lie in (0,1), got {hurst}")
-        return SpectralMeasure(1.0 - 2.0 * hurst, 1.0)
 
 
 def _beta_integral(a: float, kappa: float) -> float:
@@ -179,37 +168,6 @@ def dalang_integral_numeric(
     if not 0.0 < value < math.inf:  # the integrand is positive: 0 underflowed
         raise NumericalError(f"the integral overflows or underflows at a={a}, kappa={kappa}")
     return ConditionVerdict(True, value, QUADRATURE, params)
-
-
-def general_joint_condition(
-    op_kind: str, nu: SpectralMeasure, mu: SpectralMeasure, d: int
-) -> ConditionVerdict:
-    """Joint time-space criterion with tempered measures nu (time) and mu (space).
-
-    heat: double integral of 1 / (1 + tau^2 + |xi|^4),
-    wave: (1 + |xi|^2)^(-1/2) * 1 / (1 + tau^2 + |xi|^2),
-    both against nu (x) mu, in closed form. With b = beta_t and a = d + beta_s,
-    rescaling tau = sqrt(1 + m^2) sigma (m^2 = r^4 heat, r^2 wave) factors the
-    time integral into (1 + m^2)^((b - 1)/2) J, J = 2 B(b + 1, 1); the radial
-    integral is then B(a/2, (1 - b)/2) / 2 (heat) or B(a, (2 - b)/2) (wave),
-    B as in ``_beta_integral``. It diverges unless -1 < b < 1 and the radial
-    Beta integral converges.
-    """
-    if op_kind not in (HEAT, WAVE):
-        raise DomainError(f"operator kind must be 'heat' or 'wave', got {op_kind!r}")
-    bt, bs = nu.exponent, mu.exponent
-    params = {"op": op_kind, "beta_t": bt, "beta_s": bs, "d": d}
-    if not -1.0 < bt < 1.0:
-        return ConditionVerdict(False, None, CLOSED_FORM, params, divergent=True)
-    a = d + bs
-    if a <= 0.0:
-        raise DomainError(f"space measure density r^{bs} is not locally finite in d={d}")
-    # J = 2 B(b + 1, 1) = 2 B(1 - |b|, 1), as B(a, kappa) = B(2 kappa - a, kappa);
-    # 1 - |b| is exact next to |b| = 1, where b + 1 would round
-    scale = nu.constant * mu.constant * 2.0 * _beta_integral(1.0 - abs(bt), 1.0)
-    if op_kind == HEAT:
-        return _beta_verdict(a / 2.0, (1.0 - bt) / 2.0, params, scale / 2.0)
-    return _beta_verdict(a, (2.0 - bt) / 2.0, params, scale)
 
 
 def predicted_holder(

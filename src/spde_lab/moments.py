@@ -421,12 +421,15 @@ def linear_heat_holder_study(
     lag sees many base points, and fits both exponents on the ensemble.
     Each replica block takes the window's field one ``row_chunks`` chunk of
     replicas at a time from ``linear_heat_node_chunks``, which draws every
-    sheet in time slabs and never holds a whole one, and adds each chunk's
-    sums of |increment|^p, at each time lag and each periodic space lag,
-    into block-local sums, with the values' min and max for the fit's
-    vanishing-increment check. The block sums are added in block order, so
-    the fits do not depend on the thread count, and no per-replica field
-    outlives a chunk. Returns the two fits plus the window metadata.
+    sheet in time slabs only up to the window's last node, convolves it
+    through a core sized to the window (at the default base, half the FFT
+    length and kernel spectrum of the whole horizon) and never holds a
+    whole sheet, and adds each chunk's sums of |increment|^p, at each time
+    lag and each periodic space lag, into block-local sums, with the
+    values' min and max for the fit's vanishing-increment check. The block
+    sums are added in block order, so the fits do not depend on the thread
+    count, and no per-replica field outlives a chunk. Returns the two fits
+    plus the window metadata.
     """
     if not time_lags or not space_lags:
         raise InputError(

@@ -16,14 +16,15 @@ Discretization conventions, shared by every scheme here:
 The Walsh stochastic convolution sum_(j<k) G((k-j-1/2) dt, .) (*) Phi[j]
 behind the linear heat solution, its node samples and every Picard iterate
 is evaluated by one causal convolution core, _LinearHeatKernels: an rFFT in
-space and an FFT along time zero-padded to twice the number of steps, so the
-causal Toeplitz sum never wraps. One pass costs O(nt log nt * nx) plus the
-space transforms, in place of the O(nt^2 * nx) lag sum. Its kernel spectrum
-is built in place, one lag at a time. One time pass, taken a chunk of
-spatial frequencies at a time, turns space spectra into node values: Picard
-hands it the rFFT of a chunk of integrands, and the node sampler one
-replica's spectrum, rFFTed one time slab at a time as the sheet is drawn,
-so no whole sheet is ever held.
+space and an FFT along time, zero-padded to the shortest length at which
+the causal sums at the nodes it serves do not wrap (2 nt for nodes 0..nt).
+One pass costs O(nt log nt * nx) plus the space transforms, in place of
+the O(nt^2 * nx) lag sum. Its kernel spectrum is built in place, one lag
+at a time. One time pass per replica block, taken a chunk of spatial
+frequencies at a time, turns space spectra into node values: Picard hands
+it the rFFT of a chunk of integrands, and the node sampler one replica's
+spectrum, rFFTed one time slab at a time as the sheet is drawn up to the
+last node, so no whole sheet is ever held.
 
 Chaos-series closed forms. The multiplicative-noise chaos term of order n
 for the 1-d heat model has variance (t/4)^(n/2) / Gamma(n/2 + 1); summing
@@ -131,35 +132,42 @@ def ito_sum(integrand_left: np.ndarray, increments: np.ndarray):
 
 
 def _picard_trace(
-    sigma, causal_sum, cells, scale, rng, n_iter, replicas, initial, block_size, threads
+    sigma, causal_sum_for, cells, scale, rng, n_iter, replicas, initial, block_size, threads
 ) -> PicardTrace:
     """Picard loop over replica blocks, from u_0 = 0:
 
     u_(n+1) = causal_sum(sigma(u_n at left endpoints) * noise) + initial,
 
     one noise array of shape ``cells`` (time first) times ``scale`` per
-    replica; ``causal_sum(phi, out)`` writes the (R, nt+1, ...) node values
-    of (R, nt, ...) integrands into ``out``. Each replica block takes its
-    replicas in ``rng.row_chunks`` chunks through all ``n_iter`` iterations,
-    drawing each chunk's noise in order from the block's generator, and adds
-    every replica's squared successive differences, in replica order, into a
-    block-local (n_iter, nodes) sum. One noise, one integrand and two iterate
-    arrays, each one chunk long, serve every chunk and iteration of a block.
-    It returns that sum with its first replica's final path, and the block
-    sums are added in block order as they arrive. The blocks are fixed by
-    ``block_size``, so the result does not depend on the thread count, and
-    no per-replica array outlives a chunk. The heat scheme passes the causal
-    convolution core; an Ito cumulative sum over (nt,) cells is the SDE scheme.
+    replica; ``causal_sum_for(rows)``, called once per block, returns the
+    ``causal_sum(phi, out)`` that writes the (R, nt+1, ...) node values of
+    (R <= rows, nt, ...) integrands into ``out``. Each replica block takes
+    its replicas in ``rng.row_chunks`` chunks through all ``n_iter``
+    iterations, drawing each chunk's noise in order from the block's
+    generator, and adds every replica's squared successive differences, in
+    replica order, into a block-local (n_iter, nodes) sum. One noise, one
+    integrand, two iterate arrays and one causal sum serve every chunk and
+    iteration of a block. When sigma(u_0) is all zero, u_1 is written as
+    ``initial + 0.0``, the sum of signed zeros plus ``initial`` unless
+    ``initial`` is -0.0. A block returns its sum with its first replica's
+    final path, and the block sums are added in block order as they
+    arrive. The blocks are fixed by ``block_size``, so the result does not
+    depend on the thread count. The heat scheme passes the causal
+    convolution core; an Ito cumulative sum over (nt,) cells is the SDE
+    scheme.
     """
     if n_iter < 1:
         raise InputError(f"n_iter must be >= 1, got {n_iter}")
     nodes = (cells[0] + 1,) + cells[1:]
+    # -0.0 + (+-0) keeps the zero's sign, any other initial value does not
+    skip_zero_pass = initial != 0 or math.copysign(1.0, initial) > 0
 
     def block(gen, count):
         sq_sum = np.zeros((n_iter,) + nodes)
         # a chunk's noise, integrand and two iterates stay near rng.CHUNK_BYTES
         chunks = row_chunks(count, 4 * 8 * math.prod(nodes))
         rows = max(hi - lo for lo, hi in chunks)
+        causal_sum = causal_sum_for(rows)
         noise_buf = np.empty((rows,) + cells)
         phi_buf = np.empty_like(noise_buf)
         iterates = np.empty((2, rows) + nodes)
@@ -171,9 +179,13 @@ def _picard_trace(
                 u_prev, u_next = iterates[:, : hi - lo]
                 u_prev.fill(0.0)
                 for m in range(n_iter):
-                    np.multiply(sigma(u_prev[:, :-1]), noise, out=phi)
-                    causal_sum(phi, u_next)
-                    u_next += initial
+                    s = sigma(u_prev[:, :-1])
+                    if m == 0 and skip_zero_pass and not np.any(s):
+                        u_next.fill(initial + 0.0)
+                    else:
+                        np.multiply(s, noise, out=phi)
+                        causal_sum(phi, u_next)
+                        u_next += initial
                     # fl(a - b) = -fl(b - a), so the square is that of u_next - u_prev
                     np.subtract(u_prev, u_next, out=u_prev)
                     np.square(u_prev, out=u_prev)
@@ -283,77 +295,98 @@ def _lagged_heat_kernels(grid: SpaceTimeGrid) -> np.ndarray:
     return g
 
 
+def _five_smooth_at_least(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, a length the FFT splits into small radices."""
+    m = max(n, 1)
+    while m // math.gcd(m, 30**64) > 1:  # a prime factor above 5 is left
+        m += 1
+    return m
+
+
 class _LinearHeatKernels:
     """Causal space-time convolution with the midpoint-lagged heat kernel.
 
     For a cell-indexed integrand phi (time rows j = 0..nt-1) it evaluates
 
-        u[k] = sum_(j<k) G((k-j-1/2) dt, .) (*) phi[j],   k = 0..nt,
+        u[k] = sum_(j<k) G((k-j-1/2) dt, .) (*) phi[j],   first <= k <= last,
 
     with (*) the periodic convolution over the space cells. The kernel
     sequence g[0] = 0, g[m] = G((m-1/2) dt, .) turns this into one causal
     Toeplitz convolution in time, evaluated by an rFFT in space and an FFT
-    along time zero-padded to 2 nt, the shortest length at which the causal
-    sums do not wrap. Cost per pass: O(nt log nt * nx + nt * nx log nx)
-    instead of the O(nt^2 * nx) lag sum.
+    along time. The nodes read only the rows j < last and the lags
+    0..last, and the time FFT is zero-padded to n_fft = min(2 nt, the
+    smallest 5-smooth length > last and >= 2 last - first), the shortest
+    at which the circular sums at nodes first..last do not wrap: a term
+    j + m >= n_fft lands at j + m - n_fft <= 2 last - 1 - n_fft < first.
+    The default window 0..nt keeps 2 nt. Cost per pass: O(n_fft log n_fft
+    * nx + last * nx log nx) instead of the O(nt^2 * nx) lag sum.
     """
 
-    def __init__(self, grid: SpaceTimeGrid):
+    def __init__(self, grid: SpaceTimeGrid, first: int = 0, last: int | None = None):
         if grid.dim != 1:
             raise CapabilityError("linear heat solver supports d = 1 only")
         nt, dt = grid.time.n_steps, grid.time.dt
-        # time axis last, shape (n_cells // 2 + 1, 2 nt), built in place: column
-        # m < nt + 1 takes the space rFFT of g[m] (g[0]'s too, for its signed
+        self.last = nt if last is None else last
+        n_fft = min(2 * nt, _five_smooth_at_least(max(2 * self.last - first, self.last + 1)))
+        # time axis last, shape (n_cells // 2 + 1, n_fft), built in place: column
+        # m <= last takes the space rFFT of g[m] (g[0]'s too, for its signed
         # zeros), the rest is the time padding; then one in-place time FFT
-        self.spectrum = np.zeros((grid.n_cells // 2 + 1, 2 * nt), dtype=complex)
-        for m in range(nt + 1):
+        self.spectrum = np.zeros((grid.n_cells // 2 + 1, n_fft), dtype=complex)
+        for m in range(self.last + 1):
             g_m = _heat_kernel_vector(grid, (m - 0.5) * dt) if m else np.zeros(grid.n_cells)
             np.fft.rfft(g_m, out=self.spectrum[:, m])
         np.fft.fft(self.spectrum, axis=1, out=self.spectrum)
 
-    def convolve(self, phi: np.ndarray, rows, out: np.ndarray | None = None) -> np.ndarray:
-        """u at the time nodes ``rows`` for integrands phi of shape (R, nt, nx).
+    def causal_sum(self, count: int, rows: np.ndarray, nx: int):
+        """``run(phi, out)``: u at the time nodes ``rows`` for integrands phi of
+        shape (c, last, nx), c <= count, written into ``out``, shape
+        (c, len(rows), nx); node 0 is exactly zero. phi's rFFT in space goes
+        into one (count, last, nf) buffer and through one ``time_pass``, both
+        allocated here, once, for every call."""
+        space = np.empty((count, self.last, self.spectrum.shape[0]), dtype=complex)
+        time_pass = self.time_pass(count, rows, nx)
 
-        Returns shape (R, len(rows), nx), written into ``out`` when given;
-        node 0 is exactly zero. Replicas go through in ``rng.row_chunks``
-        chunks (at least two replicas' worth): each chunk's space rFFT goes
-        through ``_time_pass``.
-        """
-        rows = np.asarray(rows, dtype=int)
-        count, _, nx = phi.shape
-        nf, n_fft = self.spectrum.shape
-        if out is None:
-            out = np.empty((count, rows.size, nx))
-        for lo, hi in row_chunks(count, 16 * nf * n_fft):
-            self._time_pass(np.fft.rfft(phi[lo:hi], axis=2), rows, out[lo:hi])
-        return out
+        def run(phi: np.ndarray, out: np.ndarray) -> np.ndarray:
+            c = phi.shape[0]
+            np.fft.rfft(phi, axis=2, out=space[:c])
+            time_pass(space[:c], out)
+            return out
 
-    def _time_pass(self, space: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-        """u at the time nodes ``rows`` from space spectra of shape (c, nt, nf), into out.
+        return run
+
+    def time_pass(self, count: int, rows: np.ndarray, nx: int):
+        """``run(space, out)``: u at the time nodes ``rows`` from space spectra
+        of shape (c, last, nf), c <= count, into out, shape (c, len(rows), nx).
 
         The padded time FFT, the product with the kernel spectrum and the
         inverse FFT run over ``row_chunks`` of the spatial frequencies in one
-        reused buffer, so the padded spectra held at once stay near
+        buffer, so the padded spectra held at once stay near
         ``rng.CHUNK_BYTES``; the nodes of each chunk are gathered into one
-        (c, nf, len(rows)) array, whose inverse rFFT is ``out``, shape
-        (c, len(rows), nx). Every FFT line is transformed on its own, so the
-        split leaves the bits as one whole-spectrum pass would.
+        (c, nf, len(rows)) array, whose inverse rFFT is ``out``. Both arrays
+        are allocated here, once, and reused by every call. Every FFT line is
+        transformed on its own, so neither the split nor c changes the bits
+        of a line.
         """
-        count, nt, nf = space.shape
-        n_fft = self.spectrum.shape[1]
+        nf, n_fft = self.spectrum.shape
         freq_chunks = row_chunks(nf, 16 * count * n_fft)
         spec_buf = np.empty((count, max(b - a for a, b in freq_chunks), n_fft), dtype=complex)
         picked = np.empty((count, nf, rows.size), dtype=complex)
-        for a, b in freq_chunks:
-            spec = spec_buf[:, : b - a]
-            spec[:, :, :nt] = space[:, :, a:b].transpose(0, 2, 1)
-            spec[:, :, nt:] = 0.0
-            np.fft.fft(spec, axis=2, out=spec)
-            spec *= self.spectrum[a:b]
-            np.fft.ifft(spec, axis=2, out=spec)
-            picked[:, a:b] = spec[:, :, rows]
-        np.fft.irfft(picked.transpose(0, 2, 1), n=out.shape[2], axis=2, out=out)
-        out[:, rows == 0] = 0.0
+        at_zero = rows == 0
+
+        def run(space: np.ndarray, out: np.ndarray) -> None:
+            c = space.shape[0]
+            for a, b in freq_chunks:
+                spec = spec_buf[:c, : b - a]
+                spec[:, :, : self.last] = space[:, :, a:b].transpose(0, 2, 1)
+                spec[:, :, self.last :] = 0.0
+                np.fft.fft(spec, axis=2, out=spec)
+                spec *= self.spectrum[a:b]
+                np.fft.ifft(spec, axis=2, out=spec)
+                picked[:c, a:b] = spec[:, :, rows]
+            np.fft.irfft(picked[:c].transpose(0, 2, 1), n=nx, axis=2, out=out)
+            out[:, at_zero] = 0.0
+
+        return run
 
 
 def _grid_indices(values, stop: int, ndim: int, what: str) -> np.ndarray:
@@ -451,32 +484,34 @@ def linear_heat_node_chunks(grid: SpaceTimeGrid, node_indices: np.ndarray):
     Returns ``chunks(gen, count)``, a generator over ``(lo, hi, u)``: u is
     the field at the nodes for replicas lo..hi-1 of a block of ``count``,
     shape (hi - lo, len(nodes), nx), one ``rng.row_chunks`` chunk of
-    replicas at a time. Each replica's white-noise sheet is drawn in order
-    from the block's generator in ``row_chunks`` time slabs into one reused
-    slab, scaled, and rFFTed into one reused (nt, nf) space spectrum; the
-    core's time pass turns that spectrum into the replica's rows of u. The
-    draws are those of one (count, nt, nx) draw, and a block holds one slab,
-    one spectrum and one chunk of u, never a whole sheet. Block functions
-    that reduce each chunk as it comes hold no per-replica array beyond it.
-    Node indices are integers in 0..nt, in any order, repeats allowed.
+    replicas at a time. The nodes read only the noise rows below the last
+    node, so each replica's sheet is drawn only that far, in order from the
+    block's generator, in ``row_chunks`` time slabs into one reused slab,
+    scaled, and rFFTed into one reused (last, nf) space spectrum; the time
+    pass of a core sized to the nodes turns that spectrum into the
+    replica's rows of u. The draws are those of one (count, last, nx) draw,
+    and a block holds one slab, one spectrum, one time-pass workspace and
+    one chunk of u, never a whole sheet. Node indices are integers in
+    0..nt, in any order, repeats allowed.
     """
     nt, nx = grid.time.n_steps, grid.n_cells
     nodes = _grid_indices(node_indices, nt + 1, 1, "node indices")
-    kernels = _LinearHeatKernels(grid)
+    kernels = _LinearHeatKernels(grid, int(nodes.min()), int(nodes.max()))
     scale = math.sqrt(grid.cell_volume)
-    slabs = row_chunks(nt, 8 * nx)
+    slabs = row_chunks(kernels.last, 8 * nx)
 
     def chunks(gen, count):
         slab_buf = np.empty((max(b - a for a, b in slabs), nx))
-        space = np.empty((nt, kernels.spectrum.shape[0]), dtype=complex)
+        space = np.empty((1, kernels.last, kernels.spectrum.shape[0]), dtype=complex)
+        time_pass = kernels.time_pass(1, nodes, nx)
         for lo, hi in row_chunks(count, 8 * nt * nx):
             u = np.empty((hi - lo, nodes.size, nx))
             for r in range(hi - lo):
                 for a, b in slabs:
                     w = gen.standard_normal(out=slab_buf[: b - a])
                     w *= scale
-                    np.fft.rfft(w, axis=1, out=space[a:b])
-                kernels._time_pass(space[None], nodes, u[r : r + 1])
+                    np.fft.rfft(w, axis=1, out=space[0, a:b])
+                time_pass(space, u[r : r + 1])
             yield lo, hi, u
 
     return chunks
@@ -493,9 +528,10 @@ def linear_heat_node_samples(
     """Samples of u at several time nodes, all x: shape (R, len(nodes), nx).
 
     Each replica block fills its rows one chunk of replicas at a time from
-    ``linear_heat_node_chunks``, which draws every sheet in time slabs, so a
-    block holds neither a whole sheet nor the field history. The node
-    indices are integers in 0..nt; anything else raises InputError.
+    ``linear_heat_node_chunks``, which draws every sheet in time slabs up to
+    the last node, so a block holds neither a whole sheet nor the field
+    history. The node indices are integers in 0..nt; anything else raises
+    InputError.
     """
     chunks = linear_heat_node_chunks(grid, node_indices)
     shape = (np.size(node_indices), grid.n_cells)
@@ -531,7 +567,7 @@ def solve_nonlinear_heat_picard(
     kernels = _LinearHeatKernels(grid)
     nodes = np.arange(grid.time.n_steps + 1)
     return _picard_trace(
-        sigma, lambda phi, out: kernels.convolve(phi, nodes, out), grid.cell_shape(),
+        sigma, lambda rows: kernels.causal_sum(rows, nodes, grid.n_cells), grid.cell_shape(),
         math.sqrt(grid.cell_volume), rng, n_iter, replicas, initial, block_size, threads,
     )
 

@@ -62,10 +62,6 @@ class HermiteTable:
 
     max_order: int = DEFAULT_MAX_ORDER
 
-    def value(self, n: int, x: float) -> float:
-        mant, exp2 = self.values_scaled(n, x)
-        return math.ldexp(mant[n], int(exp2[n]))
-
     def values(self, n: int, x: float) -> np.ndarray:
         """H_0(x)..H_n(x) as a dense array (overflows to +-inf if unrepresentable)."""
         mant, exp2 = self.values_scaled(n, x)

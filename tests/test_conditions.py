@@ -14,7 +14,6 @@ from spde_lab.conditions import (
     check_fractional,
     dalang_gronwall_certificate,
     dalang_integral_numeric,
-    general_joint_condition,
     predicted_holder,
 )
 from spde_lab.errors import CapabilityError, DomainError, InputError, NumericalError
@@ -27,6 +26,51 @@ ALPHAS = (0.25, 0.75, 1.25, 1.75)
 HURSTS = (0.55, 0.65, 0.75, 0.85, 0.95)
 # g(s), the spatial integral of G(s, .)^2, in closed form for d = 1; the oracle
 G_SQUARED = {"heat": lambda s: (4.0 * math.pi * s) ** -0.5, "wave": lambda s: s / 2.0}
+
+
+def lebesgue() -> SpectralMeasure:
+    """Lebesgue measure, the spectral measure of white noise."""
+    return SpectralMeasure(0.0, 1.0)
+
+
+def fractional_time(hurst: float) -> SpectralMeasure:
+    """Spectral measure of |t|^(2H-2) on R: density ~ |tau|^(1-2H)."""
+    if not 0.0 < hurst < 1.0:
+        raise DomainError(f"Hurst index must lie in (0,1), got {hurst}")
+    return SpectralMeasure(1.0 - 2.0 * hurst, 1.0)
+
+
+def general_joint_condition(op_kind, nu, mu, d):
+    """Joint time-space criterion with tempered measures nu (time) and mu (space),
+    in closed form; check_fractional's second closed-form oracle.
+
+    heat: double integral of 1 / (1 + tau^2 + |xi|^4),
+    wave: (1 + |xi|^2)^(-1/2) * 1 / (1 + tau^2 + |xi|^2),
+    both against nu (x) mu. With b = beta_t and a = d + beta_s, rescaling
+    tau = sqrt(1 + m^2) sigma (m^2 = r^4 heat, r^2 wave) factors the time
+    integral into (1 + m^2)^((b - 1)/2) J, J = 2 B(b + 1, 1); the radial
+    integral is then B(a/2, (1 - b)/2) / 2 (heat) or B(a, (2 - b)/2) (wave),
+    B as in ``conditions._beta_integral``. It diverges unless -1 < b < 1 and
+    the radial Beta integral converges. For nu = fractional_time(H) and
+    mu = riesz_dual(alpha, d) the verdict is check_fractional's, reached
+    through another pair of Beta integrals.
+    """
+    if op_kind not in ("heat", "wave"):
+        raise DomainError(f"operator kind must be 'heat' or 'wave', got {op_kind!r}")
+    bt, bs = nu.exponent, mu.exponent
+    params = {"op": op_kind, "beta_t": bt, "beta_s": bs, "d": d}
+    if not -1.0 < bt < 1.0:
+        return conditions.ConditionVerdict(False, None, conditions.CLOSED_FORM, params,
+                                           divergent=True)
+    a = d + bs
+    if a <= 0.0:
+        raise DomainError(f"space measure density r^{bs} is not locally finite in d={d}")
+    # J = 2 B(b + 1, 1) = 2 B(1 - |b|, 1), as B(a, kappa) = B(2 kappa - a, kappa);
+    # 1 - |b| is exact next to |b| = 1, where b + 1 would round
+    scale = nu.constant * mu.constant * 2.0 * conditions._beta_integral(1.0 - abs(bt), 1.0)
+    if op_kind == "heat":
+        return conditions._beta_verdict(a / 2.0, (1.0 - bt) / 2.0, params, scale / 2.0)
+    return conditions._beta_verdict(a, (2.0 - bt) / 2.0, params, scale)
 
 
 def _reference_joint_quadrature(op_kind, nu, mu, d):
@@ -159,11 +203,11 @@ class TestClosedFormChecks:
 class TestNumericIntegral:
     def test_white_noise_case(self):
         # Lebesgue measure, kappa=1, d=1: finite, radial value pi/2
-        assert SpectralMeasure.lebesgue() == SpectralMeasure(exponent=0.0)
-        v = dalang_integral_numeric(SpectralMeasure.lebesgue(), 1.0, 1)
+        assert lebesgue() == SpectralMeasure(exponent=0.0)
+        v = dalang_integral_numeric(lebesgue(), 1.0, 1)
         assert v.satisfied
         assert v.integral_estimate == pytest.approx(math.pi / 2, rel=1e-10)
-        assert not dalang_integral_numeric(SpectralMeasure.lebesgue(), 1.0, 2).satisfied
+        assert not dalang_integral_numeric(lebesgue(), 1.0, 2).satisfied
 
     def test_divergent_flag_from_tail_exponent(self):
         # kappa = 2H with 4H < alpha -> divergent
@@ -248,7 +292,7 @@ class TestJointCondition:
     def test_matches_fractional_sweep(self):
         for h in (0.55, 0.75, 0.95):
             for alpha in (0.25, 0.5, 0.75):
-                nu = SpectralMeasure.fractional_time(h)
+                nu = fractional_time(h)
                 mu = SpectralMeasure.riesz_dual(alpha, 1)
                 jh = general_joint_condition("heat", nu, mu, 1)
                 assert jh.satisfied == check_fractional("heat", alpha, h, 1).satisfied
@@ -258,7 +302,7 @@ class TestJointCondition:
     def test_lebesgue_time_matches_dalang(self):
         for alpha, d in [(0.5, 1), (1.5, 2), (1.9, 3)]:
             j = general_joint_condition(
-                "heat", SpectralMeasure.lebesgue(), SpectralMeasure.riesz_dual(alpha, d), d
+                "heat", lebesgue(), SpectralMeasure.riesz_dual(alpha, d), d
             )
             assert j.satisfied == check_dalang_riesz(alpha, d).satisfied
 
@@ -271,7 +315,7 @@ class TestJointCondition:
     def test_closed_form_matches_reference_quadrature(self, op, alpha, d):
         convergent = 0
         for h in JOINT_HURSTS:
-            nu, mu = SpectralMeasure.fractional_time(h), SpectralMeasure.riesz_dual(alpha, d)
+            nu, mu = fractional_time(h), SpectralMeasure.riesz_dual(alpha, d)
             j = general_joint_condition(op, nu, mu, d)
             assert j.method == "closed_form"
             assert j.satisfied == check_fractional(op, alpha, h, d).satisfied
@@ -335,18 +379,18 @@ class TestJointCondition:
             assert j.integral_estimate is None
 
     def test_loads_no_scipy(self):
+        # the closed-form route both verdicts share, run without the test oracles
         code = (
             "import sys\n"
-            "from spde_lab.conditions import SpectralMeasure, general_joint_condition\n"
+            "from spde_lab.conditions import check_fractional\n"
             "for op in ('heat', 'wave'):\n"
-            "    general_joint_condition(op, SpectralMeasure.fractional_time(0.75),\n"
-            "                            SpectralMeasure.riesz_dual(0.5, 1), 1)\n"
+            "    check_fractional(op, 0.5, 0.75, 1)\n"
             "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)\n"
         )
         subprocess.run([sys.executable, "-c", code], check=True)
 
     def test_value_against_direct_2d_quadrature(self):
-        nu = SpectralMeasure.fractional_time(0.75)
+        nu = fractional_time(0.75)
         mu = SpectralMeasure.riesz_dual(0.5, 1)
         j = general_joint_condition("heat", nu, mu, 1)
 

@@ -580,6 +580,18 @@ class TestHolderStudy:
         ))
         assert peak < 0.5 * whole
 
+    def test_criterion_10_window_peak_at_two_threads(self):
+        # heat-conv's study: two blocks of 32 replicas run at once. With the
+        # core sized to nodes 768..896 (a (257, 1024) kernel spectrum and
+        # (896, 257) space spectra) the traced peak read 20.5 MiB; the
+        # whole-horizon core, (257, 2048) and (1024, 257), read 25.3 MiB
+        grid = SpaceTimeGrid(TimeGrid(0.25, 1024), 4.0, 512)
+        peak = traced_peak(lambda: linear_heat_holder_study(
+            grid, 64, RngStream(1010), time_lags=(4, 8, 16, 32, 64),
+            space_lags=(2, 4, 8, 16), base_node=768, block_size=32, threads=2,
+        ))
+        assert peak < 22 * 2**20
+
     @pytest.mark.parametrize("p", [0.5, np.nan])
     def test_rejects_moment_order_before_sampling(self, p, monkeypatch):
         def no_sampling(*args):

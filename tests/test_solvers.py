@@ -118,7 +118,8 @@ def ito_cumsum(phi: np.ndarray, out: np.ndarray) -> np.ndarray:
 def solve_sde_picard(sigma, grid, rng, n_iter, replicas, initial=0.0,
                      block_size=DEFAULT_BLOCK_SIZE, threads=1):
     """Picard scheme X_(n+1)(t) = initial + int_0^t sigma(X_n) dB, X_0 = 0, on
-    the heat scheme's Picard loop with the Ito cumulative sum as its causal sum.
+    the heat scheme's Picard loop with the Ito cumulative sum as its causal
+    sum, which needs no per-block workspace.
 
     All iterates of one replica share a single Brownian path; the trace
     records, for each iterate, the maximum over grid nodes of the replica
@@ -127,7 +128,7 @@ def solve_sde_picard(sigma, grid, rng, n_iter, replicas, initial=0.0,
     solution is identically zero and every iterate vanishes.
     """
     return solvers._picard_trace(
-        sigma, ito_cumsum, (grid.n_steps,), math.sqrt(grid.dt),
+        sigma, lambda rows: ito_cumsum, (grid.n_steps,), math.sqrt(grid.dt),
         rng, n_iter, replicas, initial, block_size, threads,
     )
 
@@ -167,7 +168,7 @@ def old_heat_picard(sigma, grid, rng, n_iter, replicas, initial, block_size, thr
         u_prev = np.zeros((count, nt + 1, nx))
         for m in range(n_iter):
             integrand = np.asarray(sigma(u_prev[:, :-1, :])) * w
-            u_next = kernels.convolve(integrand, nodes)
+            u_next = convolve(kernels, integrand, nodes)
             u_next += initial
             np.subtract(u_next, u_prev, out=out[:, m])
             np.square(out[:, m], out=out[:, m])
@@ -213,6 +214,37 @@ class TestPicardOracles:
         diffs, final = old_heat_picard(*args)
         assert tr.sup_sq_diffs.tobytes() == diffs.tobytes()
         assert tr.final_sample.tobytes() == final.tobytes()
+
+    # identity and sin skip the first causal sum at initial 1.0 (above) and
+    # 0.0, where -0 + 0 = +0, and take it at -0.0
+    @pytest.mark.parametrize("initial", [0.0, -0.0])
+    @pytest.mark.parametrize("sigma", ORACLE_SIGMAS)
+    def test_heat_zero_initial_bit_identical_to_old_driver(self, sigma, initial):
+        grid = SpaceTimeGrid(TimeGrid(0.25, 16), 2.0, 32)
+        args = (sigma, grid, RngStream(42), 4, 10, initial, 3, 1)
+        tr = solve_nonlinear_heat_picard(*args)
+        diffs, final = old_heat_picard(*args)
+        assert tr.sup_sq_diffs.tobytes() == diffs.tobytes()
+        assert tr.final_sample.tobytes() == final.tobytes()
+
+    @pytest.mark.parametrize("sigma, initial, sums", [
+        (LipschitzFn.identity(), 1.0, 3),
+        (LipschitzFn.identity(), 0.0, 3),
+        (LipschitzFn.identity(), -0.0, 4),  # the zeros' signs would show in -0.0 + (+-0)
+        (affine(0.5, 0.3), 1.0, 4),  # sigma(0) = 0.3
+    ])
+    def test_zero_first_pass_skips_the_causal_sum(self, sigma, initial, sums):
+        calls = []
+
+        def counting_cumsum(rows):
+            def run(phi, out):
+                calls.append(phi.shape[0])
+                return ito_cumsum(phi, out)
+            return run
+
+        # 2 replicas in one block make one chunk through 4 iterations
+        solvers._picard_trace(sigma, counting_cumsum, (8,), 0.5, RngStream(0), 4, 2, initial, 2, 1)
+        assert calls == [2] * sums
 
     def test_holds_only_blocks_in_flight(self):
         grid = SpaceTimeGrid(TimeGrid(0.25, 16), 2.0, 32)
@@ -374,22 +406,34 @@ def direct_convolution(grid: SpaceTimeGrid, phi: np.ndarray) -> np.ndarray:
     return u
 
 
+def convolve(kernels, phi: np.ndarray, rows) -> np.ndarray:
+    """u at the time nodes ``rows`` for integrands phi of shape (R, nt, nx), by
+    one causal sum of the core, shape (R, len(rows), nx)."""
+    rows = np.asarray(rows, dtype=int)
+    count, _, nx = phi.shape
+    out = np.empty((count, rows.size, nx))
+    return kernels.causal_sum(count, rows, nx)(phi, out)
+
+
 def solve_linear_heat(grid: SpaceTimeGrid, w: np.ndarray) -> np.ndarray:
     """u at every time node for one cell-indexed sheet w, by the causal convolution core."""
     nodes = np.arange(grid.time.n_steps + 1)
-    return solvers._LinearHeatKernels(grid).convolve(w[None], nodes)[0]
+    return convolve(solvers._LinearHeatKernels(grid), w[None], nodes)[0]
 
 
-def replica_sheets(grid: SpaceTimeGrid, seed: int, replicas: int, block_size: int):
-    """The scaled white-noise sheets the block samplers draw, in replica order."""
+def replica_sheets(grid: SpaceTimeGrid, seed: int, replicas: int, block_size: int,
+                   rows: int | None = None):
+    """The scaled white-noise sheets the block samplers draw, in replica order:
+    each block's one (count, rows, nx) draw, rows = nt unless given, with
+    zero rows below it up to nt."""
     nt, nx = grid.time.n_steps, grid.n_cells
-    sheets = [
-        RngStream(seed).substream(b).generator().standard_normal(
-            (min(block_size, replicas - start), nt, nx)
-        )
-        for b, start in enumerate(range(0, replicas, block_size))
-    ]
-    return np.concatenate(sheets) * math.sqrt(grid.cell_volume)
+    rows = nt if rows is None else rows
+    sheets = np.zeros((replicas, nt, nx))
+    for b, start in enumerate(range(0, replicas, block_size)):
+        count = min(block_size, replicas - start)
+        gen = RngStream(seed).substream(b).generator()
+        sheets[start : start + count, :rows] = gen.standard_normal((count, rows, nx))
+    return sheets * math.sqrt(grid.cell_volume)
 
 
 def kept_cell_sheets(grid: SpaceTimeGrid, k: int, ix: int, seed: int, replicas: int,
@@ -406,13 +450,16 @@ def kept_cell_sheets(grid: SpaceTimeGrid, k: int, ix: int, seed: int, replicas: 
 
 
 def old_node_samples(grid, nodes, replicas, rng, block_size, threads):
-    """The node sampler as it was before per-chunk draws, one draw per block,
-    convolved in one whole spectrum; the oracle."""
-    kernels = solvers._LinearHeatKernels(grid)
+    """The node sampler as one draw per block of the rows below the last node,
+    convolved in one whole spectrum; the oracle. For nodes that run from 0 to
+    nt it is the whole-sheet sampler of 0.2.1."""
+    nodes = np.asarray(nodes)
+    last = int(nodes.max())
+    kernels = solvers._LinearHeatKernels(grid, int(nodes.min()), last)
     scale = math.sqrt(grid.cell_volume)
 
     def block(gen, count):
-        w = gen.standard_normal((count, grid.time.n_steps, grid.n_cells))
+        w = gen.standard_normal((count, last, grid.n_cells))
         w *= scale
         return whole_spectrum_convolve(kernels, w, nodes)
 
@@ -442,6 +489,23 @@ CORE_GRIDS = [
     pytest.param(SpaceTimeGrid(TimeGrid(0.3, 15), 3.0, 33), id="odd-nt15"),
 ]
 
+
+# node windows of 16-, 15- and 11-step grids with the FFT length each one takes:
+# the smallest 5-smooth length > last and >= 2 last - first, at most 2 nt
+WINDOWS = [
+    pytest.param(SpaceTimeGrid(TimeGrid(0.25, 16), 4.0, 24), [9, 16, 6], 27,
+                 id="first-6-to-nt"),  # 2 last - first = 26
+    pytest.param(SpaceTimeGrid(TimeGrid(0.25, 16), 4.0, 24), [0, 11, 4, 11], 24,
+                 id="0-to-last-11"),  # 22
+    pytest.param(SpaceTimeGrid(TimeGrid(0.25, 16), 4.0, 24), [11, 5, 8], 18,
+                 id="5-to-11"),  # 17
+    pytest.param(SpaceTimeGrid(TimeGrid(0.3, 15), 3.0, 33), [7], 8,
+                 id="one-node"),  # 7, but lag 7 needs length 8
+    pytest.param(SpaceTimeGrid(TimeGrid(0.3, 11), 3.0, 33), [1, 11], 22,
+                 id="capped-at-2nt"),  # 21, and 2 nt = 22 < 24
+    pytest.param(SpaceTimeGrid(TimeGrid(0.25, 16), 4.0, 24), [0, 0], 1,
+                 id="all-zero"),
+]
 
 CRITERION_7_GRID = SpaceTimeGrid(TimeGrid(1.0, 1024), 8.0, 256)
 
@@ -489,10 +553,25 @@ class TestLinearHeat:
         )
         assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("grid, nodes, n_fft", WINDOWS)
+    def test_windowed_node_samples_match_direct_oracle(self, grid, nodes, n_fft):
+        # the lag sum, without an FFT, over sheets drawn up to the last node
+        nodes = np.array(nodes)
+        last = int(nodes.max())
+        assert solvers._LinearHeatKernels(grid, int(nodes.min()), last).spectrum.shape == (
+            grid.n_cells // 2 + 1, n_fft)
+        x = linear_heat_node_samples(grid, nodes, 5, RngStream(13), block_size=2)
+        sheets = replica_sheets(grid, 13, 5, 2, rows=last)
+        ref = np.stack([direct_convolution(grid, w)[nodes] for w in sheets])
+        if last == 0:
+            assert np.all(x == 0.0)
+        np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_node_samples_bit_identical_to_whole_block_draws(self, threads):
         # 512 kB sheets make two-row chunks; 11 replicas in blocks of 5 run the
-        # lone-row merge ([0, 2), [2, 5)) and a one-replica last block
+        # lone-row merge ([0, 2), [2, 5)) and a one-replica last block; the
+        # nodes end at 228, so each block draws (count, 228, 256) normals
         grid = SpaceTimeGrid(TimeGrid(0.25, 256), 4.0, 256)
         nodes = np.arange(100, 229, 4)
         x = linear_heat_node_samples(grid, nodes, 11, RngStream(15), 5, threads)
@@ -532,6 +611,16 @@ class TestLinearHeat:
         )
         assert solvers._LinearHeatKernels(grid).spectrum.tobytes() == oracle.tobytes()
 
+    def test_criterion_10_window_spectrum(self):
+        # the Hoelder study's nodes 768..896 build lags 0..896 only, and their
+        # time FFT is half as long as the (257, 2048) spectrum of nodes 0..1024
+        grid = SpaceTimeGrid(TimeGrid(0.25, 1024), 4.0, 512)
+        kernels = solvers._LinearHeatKernels(grid, 768, 896)
+        assert kernels.spectrum.shape == (257, 1024)
+        lags = solvers._lagged_heat_kernels(grid)[:897]
+        oracle = np.fft.fft(np.fft.rfft(lags, axis=1).T, n=1024, axis=1)
+        assert kernels.spectrum.tobytes() == oracle.tobytes()
+
     def test_spectrum_build_holds_one_spectrum(self):
         # the one-shot build held the (nt + 1, nx) table and two complex spectra: 2.0x
         grid = SpaceTimeGrid(TimeGrid(0.25, 256), 4.0, 512)
@@ -539,22 +628,24 @@ class TestLinearHeat:
         assert traced_peak(lambda: solvers._LinearHeatKernels(grid)) < 1.1 * spectrum_bytes
 
     @pytest.mark.parametrize("grid, count, n_freq_chunks", [
-        # two-replica chunks of a 4 MB spectrum split into four frequency chunks,
-        # the last with a lone frequency merged in (257 = 3 * 64 + 65)
-        pytest.param(SpaceTimeGrid(TimeGrid(0.25, 256), 4.0, 512), 5, 4, id="hoelder-like"),
+        # five replicas' 4 MB of padded spectra split into eleven frequency
+        # chunks of 25, the last of 7
+        pytest.param(SpaceTimeGrid(TimeGrid(0.25, 256), 4.0, 512), 5, 11, id="hoelder-like"),
         # Picard's chunks of 3 replicas: the whole spectrum is one chunk
         pytest.param(SpaceTimeGrid(TimeGrid(0.5, 64), 6.0, 128), 3, 1, id="picard-grid"),
     ])
     def test_convolve_bit_identical_to_whole_spectrum(self, grid, count, n_freq_chunks):
         kernels = solvers._LinearHeatKernels(grid)
         nf, n_fft = kernels.spectrum.shape
-        lo, hi = rng.row_chunks(count, 16 * nf * n_fft)[0]
-        assert len(rng.row_chunks(nf, 16 * (hi - lo) * n_fft)) == n_freq_chunks
-        nt = grid.time.n_steps
-        phi = RngStream(17).generator().standard_normal((count, nt, grid.n_cells))
+        assert len(rng.row_chunks(nf, 16 * count * n_fft)) == n_freq_chunks
+        nt, nx = grid.time.n_steps, grid.n_cells
+        phi = RngStream(17).generator().standard_normal((count, nt, nx))
         for rows in (np.arange(nt + 1), np.array([0, 3, nt // 2, nt])):
-            u = kernels.convolve(phi, rows)
-            assert u.tobytes() == whole_spectrum_convolve(kernels, phi, rows).tobytes()
+            causal_sum = kernels.causal_sum(count, rows, nx)
+            # one workspace serves a whole call, then a shorter one
+            for c in (count, count - 2):
+                u = causal_sum(phi[:c], np.empty((c, rows.size, nx)))
+                assert u.tobytes() == whole_spectrum_convolve(kernels, phi[:c], rows).tobytes()
 
     def test_node_samples_peak_below_half_a_block(self):
         # one block of 64 sheets is 32 MB of noise, which a whole-block draw holds at once
