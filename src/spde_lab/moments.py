@@ -171,8 +171,8 @@ def _pair_exponents(
     of each replica's path pair, at ``floor`` and at ``floor / 2``.
 
     ``b1`` and ``b2`` have shape (replicas, n_quad, d). The pair arrays are
-    built one chunk of replicas at a time, not a whole block's. Private, so
-    a traced run times it as part of ``fk_second_moment``'s own work.
+    built one chunk of replicas at a time, in buffers every chunk reuses.
+    Private, so a traced run times it as part of ``fk_second_moment``'s work.
     """
     count, n_quad, d = b1.shape
     # floor**-alpha from the same array power as the pair entries: numpy's
@@ -180,13 +180,22 @@ def _pair_exponents(
     # inputs, and only the array one is the full-floor entry's own value
     cap = np.power(np.full(1, floor), -alpha)[0]
     a_full, a_half = np.empty((2, count))
-    for lo, hi in row_chunks(count, 8 * n_quad * n_quad * d):
+    chunks = row_chunks(count, 8 * n_quad * n_quad * d)
+    bufs = np.empty((min(d, 2), max(hi - lo for lo, hi in chunks), n_quad, n_quad))
+    for lo, hi in chunks:
+        dist, sq = bufs[0, : hi - lo], bufs[-1, : hi - lo]
+        np.subtract(b1[lo:hi, :, None, 0], b2[lo:hi, None, :, 0], out=dist)
         if d == 1:  # sqrt(x * x) == |x| exactly
-            dist = b1[lo:hi, :, None, 0] - b2[lo:hi, None, :, 0]
             np.abs(dist, out=dist)
-        else:
-            diff = b1[lo:hi, :, None, :] - b2[lo:hi, None, :, :]
-            dist = np.sqrt(np.sum(diff * diff, axis=-1))
+        elif d < 8:  # in axis order, as np.sum adds fewer than 8 terms
+            np.square(dist, out=dist)
+            for c in range(1, d):
+                np.subtract(b1[lo:hi, :, None, c], b2[lo:hi, None, :, c], out=sq)
+                dist += np.square(sq, out=sq)
+            np.sqrt(dist, out=dist)
+        else:  # np.sum adds 8 or more pairwise
+            diff = b1[lo:hi, :, None] - b2[lo:hi, None]
+            np.sqrt(np.sum(np.square(diff, out=diff), axis=-1, out=dist), out=dist)
         # one power per entry, at the half floor (the sensitivity variant);
         # x -> x**-alpha is decreasing, so capping the powers at cap gives the
         # same bits as powering the distances floored at the full floor

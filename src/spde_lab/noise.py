@@ -426,12 +426,11 @@ class HomogeneousNoiseSampler:
         self._ls, self.space_jitter = cholesky_with_jitter(self.space_cov)
 
     def sample_batch(self, rng, n: int) -> np.ndarray:
-        """n fields of cell masses, shape (n,) + grid.cell_shape()."""
-        gen = as_generator(rng)
+        """n fields of cell masses, shape (n,) + grid.cell_shape(), C-contiguous."""
         nt, nsp = self.grid.time.n_steps, self.grid.n_space_cells
-        z = gen.standard_normal((n, nt, nsp))
-        w = np.einsum("km,rmn,pn->rkp", self._lt, z, self._ls, optimize=True)
-        return w.reshape((n,) + self.grid.cell_shape())
+        z = as_generator(rng).standard_normal((n, nt, nsp))
+        np.matmul(self._lt, (z.reshape(-1, nsp) @ self._ls.T).reshape(z.shape), out=z)
+        return z.reshape((n,) + self.grid.cell_shape())
 
     def sample(self, rng) -> Field:
         return Field(self.grid, self.sample_batch(rng, 1)[0])

@@ -741,30 +741,21 @@ class WickPamSampler:
     def sample_chaos(self, rng, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(U1, U2) at the final time node, each of shape (n, n_cells)."""
         w = self.sampler.sample_batch(rng, n)
-        dx, nt, nx = self.grid.dx, self.grid.time.n_steps, self.grid.n_cells
+        dx, nx = self.grid.dx, self.grid.n_cells
         # both levels are halves of one array and take one heat step together
         u = np.zeros((2, n, nx))
         v = np.empty_like(u)
         (u1, u2), (v1, v2) = u, v
         spec = np.empty((2, n, nx // 2 + 1), dtype=complex)
-        # the sampler's einsum leaves space outermost and time innermost in
-        # memory, so w[:, k] is a strided gather; a time-major copy of 8 steps
-        # at a time (one cache line per replica and cell), into one reused
-        # buffer, makes each step contiguous without a second whole-batch
-        # array, which kept RSS up
-        steps_buf = np.empty((min(8, nt), n, nx))
-        for k0 in range(0, nt, 8):
-            steps = steps_buf[: min(8, nt - k0)]
-            np.copyto(steps, w[:, k0 : k0 + 8].transpose(1, 0, 2))
-            for k, w_k in enumerate(steps, k0):
-                # U2 <- step(U2 dx + U1 w_k - tau[k]), U1 <- step(U1 dx + w_k), both from old U1
-                np.multiply(u1, w_k, out=v2)
-                np.multiply(u2, dx, out=v1)
-                v2 += v1
-                v2 -= self.tau[k]
-                np.multiply(u1, dx, out=v1)
-                v1 += w_k
-                self._step(v, out=u, spec=spec)
+        for w_k, tau_k in zip(w.swapaxes(0, 1), self.tau):
+            # U2 <- step(U2 dx + U1 w_k - tau_k), U1 <- step(U1 dx + w_k), both from old U1
+            np.multiply(u1, w_k, out=v2)
+            np.multiply(u2, dx, out=v1)
+            v2 += v1
+            v2 -= tau_k
+            np.multiply(u1, dx, out=v1)
+            v1 += w_k
+            self._step(v, out=u, spec=spec)
         return u1, u2
 
     def second_moment_samples(self, rng, n: int):

@@ -308,6 +308,18 @@ class TestFkSecondMoment:
         want = np.stack(_reference_pair_exponents(b1, b2, wt, alpha, floor))
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("d", [3, 7, 8, 9])
+    def test_pair_distances_bit_identical_in_higher_dimensions(self, d):
+        # np.sum adds fewer than 8 squares in axis order, which the in-place
+        # sum follows, and 8 or more pairwise; 50 replicas at d = 9 span chunks
+        replicas, n_quad, t = 50, 64, 0.2
+        wt = time_factor_matrix(TimeGrid(t, n_quad), self.SPEC.time_kernel)
+        steps = np.random.default_rng(d).standard_normal((2, replicas, n_quad, d))
+        b1, b2 = np.cumsum(steps, axis=2) * np.sqrt(t / n_quad)
+        args = (b1, b2, wt, self.SPEC.space_kernel.alpha, t / n_quad / 2.0)
+        got = np.stack(moments._pair_exponents(*args))
+        assert got.tobytes() == np.stack(_reference_pair_exponents(*args)).tobytes()
+
     def test_oracle_draws_cover_scalar_cap_trap(self):
         # floor**-alpha from Python's scalar power is not always numpy's array
         # power of the floor; the draws above must include such a floor, or a

@@ -401,6 +401,31 @@ class TestHomogeneousNoise:
         with pytest.raises(InputError):
             HomogeneousNoiseSampler(grid, NoiseSpec.space_time_white())
 
+    @pytest.mark.parametrize("n", [1, 7, 500])
+    @pytest.mark.parametrize("nt", [1, 8, 32])
+    @pytest.mark.parametrize("dim,n_cells", [(1, 1), (1, 64), (2, 1), (2, 8)])
+    def test_batch_matches_einsum_correlation(self, dim, n_cells, nt, n):
+        # oracle: the einsum the two products replaced, on the same draws; the
+        # products round differently, so the match is to the rounding level
+        grid = SpaceTimeGrid(TimeGrid(0.5, nt), 1.0, n_cells, dim=dim)
+        sampler = HomogeneousNoiseSampler(grid, NoiseSpec.fractional_riesz(0.7, 0.5))
+        w = sampler.sample_batch(RngStream(43, n), n)
+        z = RngStream(43, n).generator().standard_normal((n, nt, grid.n_space_cells))
+        want = np.einsum("km,rmn,pn->rkp", sampler._lt, z, sampler._ls, optimize=True)
+        assert w.shape == (n,) + grid.cell_shape() and w.flags.c_contiguous
+        got = w.reshape(want.shape)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    def test_batch_holds_two_batch_arrays(self):
+        # the draws and the space-correlated copy; the time factor is written
+        # back into the draws (the einsum held three such arrays)
+        grid = SpaceTimeGrid(TimeGrid(0.2, 32), 2.0, 64)
+        sampler = HomogeneousNoiseSampler(grid, NoiseSpec.fractional_riesz(0.7, 0.5))
+        batch = 8 * 500 * 32 * 64
+        sampler.sample_batch(RngStream(44), 1)  # numpy's one-time allocations
+        peak = traced_peak(lambda: sampler.sample_batch(RngStream(44), 500))
+        assert peak <= 2 * batch + 2**16
+
 
 def _direct_time_factor(tgrid, tk):
     """The time factor entry by entry on the n x n lag matrix: dt on the

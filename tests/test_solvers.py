@@ -1142,10 +1142,9 @@ class TestWickPam:
         np.testing.assert_allclose(f2, u2, rtol=0, atol=1e-12 * np.abs(u2).max())
 
     @pytest.mark.parametrize("n_steps", [5, 8, 13, 32])
-    def test_blocked_march_bit_identical_to_strided_march(self, n_steps):
-        # the march over a time-major copy of 8 steps at a time, against the
-        # march on the sampler's own layout, step by step; 5 and 13 end in a
-        # short block
+    def test_march_bit_identical_to_stepwise_reference(self, n_steps):
+        # the in-place march over the sampler's steps, against one that builds
+        # each level's step input afresh from w[:, k], step by step
         grid = SpaceTimeGrid(TimeGrid(0.25, n_steps), 2.0, 16)
         sampler = WickPamSampler(grid, self.SPEC)
         w = sampler.sampler.sample_batch(RngStream(33), 7)
