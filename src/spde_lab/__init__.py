@@ -7,7 +7,7 @@ moments, existence conditions, Lyapunov exponents and regularity exponents
 that the underlying theory predicts, at Monte Carlo tolerances.
 """
 
-__version__ = "0.2.3"
+__version__ = "0.2.4"
 
 from . import conditions, kernels, moments, noise, solvers, special  # noqa: F401
 from .errors import (

@@ -175,32 +175,42 @@ def _pair_exponents(
     Private, so a traced run times it as part of ``fk_second_moment``'s work.
     """
     count, n_quad, d = b1.shape
-    # floor**-alpha from the same array power as the pair entries: numpy's
-    # SIMD float64 power and the scalar one differ in the last bit on some
-    # inputs, and only the array one is the full-floor entry's own value
-    cap = np.power(np.full(1, floor), -alpha)[0]
+    # floor**-alpha by the same array log and exp as the pair entries: numpy's
+    # SIMD float64 routines and the scalar ones differ in the last bit on some
+    # inputs, and only the array ones give the full-floor entry's own value
+    cap = np.exp(-alpha * np.log(np.full(1, floor)))[0]
     a_full, a_half = np.empty((2, count))
     chunks = row_chunks(count, 8 * n_quad * n_quad * d)
-    bufs = np.empty((min(d, 2), max(hi - lo for lo, hi in chunks), n_quad, n_quad))
+    rows = max(hi - lo for lo, hi in chunks)
+    bufs = np.empty((min(d, 2), rows, n_quad, n_quad))
+    # b1_i - b2_j as the two-term dot [b1_i, 1] . [1, -b2_j]: it rounds once in
+    # any order, so one batched matmul per axis gives the exact differences
+    left, right = np.ones((rows, n_quad, 2)), np.ones((rows, 2, n_quad))
+
+    def differences(lo, hi, axis, out):
+        left[: hi - lo, :, 0] = b1[lo:hi, :, axis]
+        np.negative(b2[lo:hi, :, axis], out=right[: hi - lo, 1])
+        return np.matmul(left[: hi - lo], right[: hi - lo], out=out)
+
     for lo, hi in chunks:
         dist, sq = bufs[0, : hi - lo], bufs[-1, : hi - lo]
-        np.subtract(b1[lo:hi, :, None, 0], b2[lo:hi, None, :, 0], out=dist)
         if d == 1:  # sqrt(x * x) == |x| exactly
-            np.abs(dist, out=dist)
+            np.abs(differences(lo, hi, 0, dist), out=dist)
         elif d < 8:  # in axis order, as np.sum adds fewer than 8 terms
-            np.square(dist, out=dist)
+            np.square(differences(lo, hi, 0, dist), out=dist)
             for c in range(1, d):
-                np.subtract(b1[lo:hi, :, None, c], b2[lo:hi, None, :, c], out=sq)
-                dist += np.square(sq, out=sq)
+                dist += np.square(differences(lo, hi, c, sq), out=sq)
             np.sqrt(dist, out=dist)
         else:  # np.sum adds 8 or more pairwise
             diff = b1[lo:hi, :, None] - b2[lo:hi, None]
             np.sqrt(np.sum(np.square(diff, out=diff), axis=-1, out=dist), out=dist)
-        # one power per entry, at the half floor (the sensitivity variant);
-        # x -> x**-alpha is decreasing, so capping the powers at cap gives the
-        # same bits as powering the distances floored at the full floor
+        # one x**-alpha = exp(-alpha log x) per entry, at the half floor (the
+        # sensitivity variant); it never increases with x, so capping the
+        # entries at cap gives the same bits as flooring the distances at floor
         np.maximum(dist, floor / 2.0, out=dist)
-        np.power(dist, -alpha, out=dist)
+        np.log(dist, out=dist)
+        dist *= -alpha
+        np.exp(dist, out=dist)
         a_half[lo:hi] = np.einsum("ij,rij->r", wt, dist)
         np.minimum(dist, cap, out=dist)
         a_full[lo:hi] = np.einsum("ij,rij->r", wt, dist)

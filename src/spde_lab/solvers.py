@@ -758,6 +758,14 @@ class WickPamSampler:
             self._step(v, out=u, spec=spec)
         return u1, u2
 
+    def second_moment_blocks(
+        self, rng: RngStream, replicas: int, block_size: int, threads: int = 1
+    ) -> np.ndarray:
+        """``second_moment_samples`` of ``replicas`` replicas, block b of
+        ``block_size`` drawn from ``rng.substream(b)``, with the same bits at any
+        thread count."""
+        return map_replica_blocks(replicas, self.second_moment_samples, rng, block_size, threads)
+
     def second_moment_samples(self, rng, n: int):
         """Per-replica spatial averages of (1 + U1 + U2)^2 over the center half."""
         u1, u2 = self.sample_chaos(rng, n)

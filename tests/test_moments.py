@@ -169,10 +169,16 @@ class TestIntermittency:
         assert not intermittency_check(ps, [2.0 * p for p in ps])
 
 
-def _reference_pair_exponents(b1, b2, wt, alpha, floor):
+def _exp_log_power(x, alpha):
+    """x**-alpha as exp(-alpha log x), the kernel's evaluation of each entry."""
+    return np.exp(-alpha * np.log(x))
+
+
+def _reference_pair_exponents(b1, b2, wt, alpha, floor, power=_exp_log_power):
     """The exponent sums of ``fk_second_moment``'s replica block as they were
-    before the one-power kernel (two powers per pair entry), verbatim: the
-    bit-exact oracle of ``moments._pair_exponents``."""
+    before the one-evaluation kernel (two per pair entry, by subtraction and
+    ``np.sum``): with the default ``power``, the bit-exact oracle of
+    ``moments._pair_exponents``."""
     count, n_quad, d = b1.shape
     a_half, a_full = np.empty((2, count))
     # pair arrays one chunk of replicas at a time, not a whole block's
@@ -182,9 +188,9 @@ def _reference_pair_exponents(b1, b2, wt, alpha, floor):
         # sensitivity variant first: same paths, floor halved; raising the
         # floor afterwards gives the same bits as flooring the raw distances
         np.maximum(dist, floor / 2.0, out=dist)
-        a_half[lo:hi] = np.einsum("ij,rij->r", wt, dist**-alpha)
+        a_half[lo:hi] = np.einsum("ij,rij->r", wt, power(dist, alpha))
         np.maximum(dist, floor, out=dist)
-        a_full[lo:hi] = np.einsum("ij,rij->r", wt, dist**-alpha)
+        a_full[lo:hi] = np.einsum("ij,rij->r", wt, power(dist, alpha))
     return a_full, a_half
 
 
@@ -210,8 +216,8 @@ def _reference_fk_block(t, spec, d, n_quad):
 
 
 # (H, alpha, t): criterion 9's parameters, then 48 seeded draws from the
-# colored benchmark's ranges (seed 50 gives five floors where the scalar and
-# array powers split)
+# colored benchmark's ranges (seed 50 gives two floors where the scalar and
+# array log and exp split, and five where the scalar and array powers do)
 FK_ORACLE_DRAWS = [(0.7, 0.5, 0.25)] + [
     tuple(row)
     for row in np.random.default_rng(50).uniform((0.6, 0.3, 0.1), (0.8, 0.7, 0.25), (48, 3))
@@ -297,7 +303,9 @@ class TestFkSecondMoment:
         ids=[f"H{h:.3f}-a{a:.3f}-t{t:.3f}" for h, a, t in FK_ORACLE_DRAWS],
     )
     def test_one_power_kernel_bit_identical(self, d, hurst, alpha, t):
-        # the exponent sums themselves, before exp can hide a last-bit move
+        # the exponent sums themselves, before exp can hide a last-bit move;
+        # and within 1e-14 of the sums through np.power, an oracle that shares
+        # no per-entry arithmetic with exp(-alpha log x)
         replicas, n_quad = 24, 128
         floor = t / n_quad / 2.0
         spec = NoiseSpec.fractional_riesz(hurst, alpha)
@@ -307,6 +315,10 @@ class TestFkSecondMoment:
         got = np.stack(moments._pair_exponents(b1, b2, wt, alpha, floor))
         want = np.stack(_reference_pair_exponents(b1, b2, wt, alpha, floor))
         assert got.tobytes() == want.tobytes()
+        powered = np.stack(
+            _reference_pair_exponents(b1, b2, wt, alpha, floor, power=lambda x, a: x**-a)
+        )
+        np.testing.assert_allclose(got, powered, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("d", [3, 7, 8, 9])
     def test_pair_distances_bit_identical_in_higher_dimensions(self, d):
@@ -320,30 +332,73 @@ class TestFkSecondMoment:
         got = np.stack(moments._pair_exponents(*args))
         assert got.tobytes() == np.stack(_reference_pair_exponents(*args)).tobytes()
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matmul_differences_bit_identical_to_subtraction(self, monkeypatch, d):
+        # every product the kernel forms, per chunk and axis, is b1_i - b2_j
+        # with its sign bits, where coordinates coincide too (+0.0); 19
+        # replicas in chunks of 2 leave a chunk of 3 at the end
+        replicas, n_quad = 19, 32
+        steps = np.random.default_rng(29).standard_normal((2, replicas, n_quad, d))
+        b1, b2 = np.cumsum(steps, axis=2)
+        b2[:, ::3] = b1[:, ::3]  # equal points share every coordinate
+        b2[:, 1:30:3, -1] = b1[:, 2::3, -1]  # and equal coordinates off the diagonal
+        products, matmul = [], np.matmul
+
+        def spy(*args, out):
+            products.append(matmul(*args, out=out).copy())
+            return out
+
+        monkeypatch.setattr(rng, "CHUNK_BYTES", 2 * 8 * n_quad * n_quad * d)
+        monkeypatch.setattr(np, "matmul", spy)
+        wt = np.ones((n_quad, n_quad))
+        moments._pair_exponents(b1, b2, wt, 0.5, 1e-3)
+        ranges = row_chunks(replicas, 8 * n_quad * n_quad * d)
+        monkeypatch.undo()
+        assert ranges[-1] == (16, 19)
+        want = [
+            np.subtract(b1[lo:hi, :, None, k], b2[lo:hi, None, :, k])
+            for lo, hi in ranges
+            for k in range(d)
+        ]
+        assert len(products) == len(want)
+        for got, diff in zip(products, want):
+            assert got.tobytes() == diff.tobytes()
+        zeros = want[0] == 0.0
+        assert zeros.any() and not np.signbit(want[0][zeros]).any()
+
     def test_oracle_draws_cover_scalar_cap_trap(self):
-        # floor**-alpha from Python's scalar power is not always numpy's array
-        # power of the floor; the draws above must include such a floor, or a
-        # kernel capping at the scalar value could pass them
+        # floor**-alpha by Python's scalar log and exp is not always numpy's
+        # array log and exp of the floor; the draws above must include such a
+        # floor, and there coincident paths, every distance of which is capped,
+        # must give the oracle's bits: a kernel capping at the scalar value
+        # fails them, while the few capped entries of random paths round away
         def split(floor, alpha):
-            return floor**-alpha != np.power(np.full(1, floor), -alpha)[0]
+            return math.exp(-alpha * math.log(floor)) != _exp_log_power(np.full(1, floor), alpha)[0]
 
         probe = np.random.default_rng(0).uniform((0.1, 0.3), (0.25, 0.7), (4000, 2))
         if not any(split(t / 256, a) for t, a in probe):
-            pytest.skip("scalar and array float64 power agree on this platform")
-        assert any(split(t / 256, alpha) for _, alpha, t in FK_ORACLE_DRAWS)
+            pytest.skip("scalar and array float64 log and exp agree on this platform")
+        traps = [(t / 256, alpha) for _, alpha, t in FK_ORACLE_DRAWS if split(t / 256, alpha)]
+        assert traps
+        paths, wt = np.zeros((3, 128, 1)), np.ones((128, 128))
+        for floor, alpha in traps:
+            got = np.stack(moments._pair_exponents(paths, paths, wt, alpha, floor))
+            want = np.stack(_reference_pair_exponents(paths, paths, wt, alpha, floor))
+            assert got.tobytes() == want.tobytes(), (floor, alpha)
 
     def test_capped_power_identity_at_ulp_neighbours(self):
-        # the identity the one-power kernel rests on, bit for bit, at every
-        # float within 2000 ULPs of each of 3000 floors (12 M probes):
-        # min(max(x, f/2)**-a, f**-a) == max(x, f)**-a  (f**-a by array power)
+        # the identity the one-evaluation kernel rests on, bit for bit, at
+        # every float within 2000 ULPs of each of 3000 floors (12 M probes),
+        # with f(x) = exp(-a log x) by array log and exp:
+        # min(f(max(x, floor/2)), f(floor)) == f(max(x, floor))
         gen = np.random.default_rng(2015)
         offsets = np.arange(-2000, 2001)
         floors = 10.0 ** gen.uniform(-6, 0, 3000)
         for floor, alpha in zip(floors, gen.uniform(0.02, 1.98, 3000)):
             x = (np.full(1, floor).view(np.int64) + offsets).view(np.float64)
-            cap = np.power(np.full(1, floor), -alpha)[0]
-            capped = np.minimum(np.power(np.maximum(x, floor / 2), -alpha), cap)
-            direct = np.power(np.maximum(x, floor), -alpha)
+            cap = _exp_log_power(np.full(1, floor), alpha)[0]
+            capped = np.minimum(_exp_log_power(np.maximum(x, floor / 2), alpha), cap)
+            direct = _exp_log_power(np.maximum(x, floor), alpha)
             assert capped.tobytes() == direct.tobytes(), (floor, alpha)
 
     def test_pair_arrays_bounded_per_chunk(self):

@@ -1162,6 +1162,19 @@ class TestWickPam:
         assert sm.shape == (500,)
         assert sm.mean() > 1.0  # chaos levels add nonnegative variance
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("replicas", [6 * 40, 5 * 40 + 13])
+    def test_second_moment_blocks_bit_identical_to_serial_loop(self, threads, replicas):
+        # the serial loop of criterion 9 and the colored benchmark, with a
+        # short last block where the replicas are not a multiple of 40
+        sampler = WickPamSampler(self.GRID, self.SPEC)
+        serial = np.concatenate([
+            sampler.second_moment_samples(RngStream(31, b), min(40, replicas - lo))
+            for b, lo in enumerate(range(0, replicas, 40))
+        ])
+        pooled = sampler.second_moment_blocks(RngStream(31), replicas, 40, threads)
+        assert pooled.tobytes() == serial.tobytes()
+
     def test_colored_plain_euler_drifts(self):
         # the adapted-product Euler scheme is not Wick-consistent for
         # time-correlated noise: its mean drifts above 1
