@@ -32,7 +32,6 @@ from .field import write_spdf
 from .grids import SpaceTimeGrid, TimeGrid
 from .kernels import OperatorSpec
 from .moments import (
-    MomentReport,
     estimate_moments,
     fit_log_slope,
     fk_second_moment,
@@ -46,8 +45,14 @@ from .noise import (
     sample_homogeneous_noise,
     sample_white_noise_sheet,
 )
-from .rng import RngStream, map_replica_blocks
-from .solvers import chaos_geometric_partials, pam_chaos_series, pam_white_block
+from .rng import DEFAULT_BLOCK_SIZE, RngStream, map_replica_blocks
+from .solvers import (
+    chaos_geometric_partials,
+    geometric_block,
+    geometric_variance,
+    pam_chaos_series,
+    pam_white_block,
+)
 
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
@@ -180,53 +185,26 @@ def _auto_pam_grid(t: float, n_steps: int, half_width: float | None) -> SpaceTim
     return SpaceTimeGrid(time, half, n_cells)
 
 
-def _fbm_variance(t: float, hurst: float) -> float:
-    """t^(2H), the variance of fBm at t; NumericalError when it overflows."""
-    try:
-        return t ** (2 * hurst)
-    except OverflowError:
-        raise NumericalError(f"the fBm variance t^(2H) overflows at t={t}, H={hurst}") from None
-
-
 def run_simulate(cfg: dict, out: Path, threads: int = 1) -> None:
-    model = cfg["model"]
-    ts = cfg["t"]
-    ps = cfg["p"]
-    replicas = cfg["replicas"]
+    model, ts, ps, replicas = cfg["model"], cfg["t"], cfg["p"], cfg["replicas"]
     stream = RngStream(cfg["seed"])
     rows = []
     for i, t in enumerate(ts):
-        if model in ("gbm", "gfbm"):
-            # lognormal exp(Z - var/2) with Z ~ N(0, var) = (scale * N(0,1))
-            if model == "gbm":
-                scale, var = math.sqrt(t), t
-            else:
-                scale, var = t ** cfg["hurst"], _fbm_variance(t, cfg["hurst"])
-
-            def block(gen, count, scale=scale, var=var):
-                z = gen.standard_normal((count, 1)) * scale
-                return np.exp(z[:, 0] - var / 2.0)
-
-            x = map_replica_blocks(replicas, block, stream.substream(i), threads=threads)
-            if not x.any():  # a lognormal sample is positive
-                raise NumericalError(f"every sample exp(Z - var/2) underflows to 0 at t={t}")
-        else:  # pam-white; --model choices admit no other model
+        if model == "pam-white":
             grid = _auto_pam_grid(t, cfg["n_steps"], cfg.get("half_width"))
-            block = pam_white_block(grid, grid.n_cells // 2)
-            x = map_replica_blocks(
-                replicas, block, stream.substream(i), block_size=_PAM_BLOCK, threads=threads
-            )
+            block, size = pam_white_block(grid, grid.n_cells // 2), _PAM_BLOCK
+        else:  # gbm or gfbm; --model choices admit no other model
+            block = geometric_block(model, t, cfg.get("hurst"), max(ps), replicas)
+            size = DEFAULT_BLOCK_SIZE
+        x = map_replica_blocks(replicas, block, stream.substream(i), size, threads)
         rows.extend(estimate_moments(x, ps, model=model, t=t))
 
-    report = MomentReport(rows=rows)
+    report = {"rows": rows, "kappa": None, "fitted_lambda": None, "closed_form_lambda": None}
     if cfg["fit"]:
         name = {"gbm": "gbm", "gfbm": "gfbm", "pam-white": "pam_white"}[model]
         lam, kappa = lyapunov_closed_form(name, ps[0], cfg.get("hurst"))
-        report.kappa = kappa
-        report.fitted_lambda = fit_log_slope(
-            ts, [r.estimate for r in rows if r.p == ps[0]], kappa
-        )
-        report.closed_form_lambda = lam
+        fitted = fit_log_slope(ts, [r.estimate for r in rows if r.p == ps[0]], kappa)
+        report.update(kappa=kappa, fitted_lambda=fitted, closed_form_lambda=lam)
     _write_json(out / "report.json", cfg, report)
     columns = ("model", "t", "p", "estimate", "stderr", "replicas")
     _write_table(out / "moments.csv", cfg, columns, map(dataclasses.astuple, rows))
@@ -242,7 +220,7 @@ def run_chaos(cfg: dict, out: Path, threads: int = 1) -> None:
     else:  # gbm or gfbm
         kind = "bm" if cfg["model"] == "gbm" else "fbm"
         partials = chaos_geometric_partials(t, cfg["b"], n, kind, cfg.get("hurst"))
-        variance = t if kind == "bm" else _fbm_variance(t, cfg["hurst"])
+        variance = geometric_variance(cfg["model"], t, cfg.get("hurst"))
         try:
             closed = math.exp(cfg["b"] - variance / 2.0)
         except OverflowError:

@@ -42,16 +42,6 @@ class MomentRow:
     replicas: int
 
 
-@dataclass
-class MomentReport:
-    """Moment rows plus an optional Lyapunov fit against t^kappa."""
-
-    rows: list[MomentRow] = field(default_factory=list)
-    kappa: float | None = None
-    fitted_lambda: float | None = None
-    closed_form_lambda: float | None = None
-
-
 def jackknife_stderr(samples: np.ndarray) -> float:
     """Jackknife standard error of the sample mean.
 
@@ -64,6 +54,20 @@ def jackknife_stderr(samples: np.ndarray) -> float:
     if n < 2:
         raise InputError(f"a standard error needs at least 2 samples, got {n}")
     return float(np.sqrt(np.sum((x - x.mean()) ** 2) / (n * (n - 1))))
+
+
+def _means(vals: np.ndarray, what: str) -> list[tuple[float, float]]:
+    """(mean, jackknife stderr) of each column of the (n, k) sample ``vals``;
+    NumericalError when one is not finite, or when a stderr is 0 on a column
+    whose values differ (their squared deviations underflowed)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        pairs = [(float(m), jackknife_stderr(col)) for m, col in zip(vals.mean(axis=0), vals.T)]
+    for (m, se), col in zip(pairs, vals.T):
+        if not (math.isfinite(m) and math.isfinite(se)):
+            raise NumericalError(f"{what} is not finite")
+        if se == 0.0 and col.max() > col.min():
+            raise NumericalError(f"{what} underflows")
+    return pairs
 
 
 def estimate_moments(
@@ -79,16 +83,12 @@ def estimate_moments(
     for p in np.atleast_1d(p_list):
         if p < 1:
             raise DomainError(f"moment order must be >= 1, got {p}")
-        with np.errstate(over="ignore", invalid="ignore"):  # checked next
-            vals = x**p
-            row = MomentRow(model, t, float(p), float(vals.mean()), jackknife_stderr(vals), x.size)
-        if not (math.isfinite(row.estimate) and math.isfinite(row.stderr)):
-            raise NumericalError(f"moment of order {p} at t={t} is not finite")
-        # a 0 stderr is wrong when the |X|^p differ, or when they all round
-        # to 0 while some |X| > 0: the moment or its stderr underflowed
-        if row.stderr == 0.0 and (vals.max() > vals.min() or (row.estimate == 0.0 and x.any())):
+        with np.errstate(over="ignore"):  # checked by _means
+            vals = x[:, None] ** p
+        [(est, se)] = _means(vals, f"moment of order {p} at t={t}")
+        if se == 0.0 and est == 0.0 and x.any():  # every |X|^p rounded to 0
             raise NumericalError(f"moment of order {p} at t={t} underflows")
-        rows.append(row)
+        rows.append(MomentRow(model, t, float(p), est, se, x.size))
     return rows
 
 
@@ -285,16 +285,12 @@ def fk_second_moment(
             "exponential-functional samples fell below 1; "
             "nonnegative kernels make that impossible"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        est, est_half = vals.mean(axis=0)
-        se, se_half = (jackknife_stderr(vals[:, 0]), jackknife_stderr(vals[:, 1]))
-    if not np.all(np.isfinite([est, est_half, se, se_half])):
-        raise NumericalError(f"fk estimate or its stderr overflowed at t={t}")
+    (est, se), (est_half, se_half) = _means(vals, f"fk estimate or its stderr at t={t}")
     return PathPairEstimate(
-        estimate=float(est),
-        stderr=float(se),
-        estimate_half_floor=float(est_half),
-        stderr_half_floor=float(se_half),
+        estimate=est,
+        stderr=se,
+        estimate_half_floor=est_half,
+        stderr_half_floor=se_half,
         replicas=replicas,
         n_quad=n_quad,
         delta_floor=floor,

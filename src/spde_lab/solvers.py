@@ -223,6 +223,46 @@ def geometric_fbm(times: np.ndarray, path: np.ndarray, hurst: float) -> np.ndarr
     return np.exp(np.asarray(path) - t ** (2.0 * hurst) / 2.0)
 
 
+def geometric_variance(model: str, t: float, hurst: float | None = None) -> float:
+    """sigma^2 = Var log X(t) of the geometric model: t for gbm, t^(2H) for
+    gfbm; NumericalError when t^(2H) overflows."""
+    if model == "gbm":
+        return t
+    try:
+        return t ** (2 * hurst)
+    except OverflowError:
+        raise NumericalError(f"the fBm variance t^(2H) overflows at t={t}, H={hurst}") from None
+
+
+def geometric_block(model: str, t: float, hurst: float | None, p: float, replicas: int):
+    """Replica block of X(t) = exp(Z - sigma^2/2), Z ~ N(0, sigma^2), for
+    ``rng.map_replica_blocks`` at its default block size.
+
+    The sample-size rule: plain Monte Carlo of E[X^p] needs about
+    e^(p^2 sigma^2 / 2) samples, exp of the KL divergence of the p-tilted law
+    from the sampled one (Chatterjee & Diaconis, Ann. Appl. Probab. 28, 2018).
+    With fewer, the rare large samples that carry the moment are missed and
+    the mean reads orders of magnitude low, its stderr with it. So
+    ln(replicas) < p^2 sigma^2 / 2 for the largest order ``p`` raises
+    NumericalError before anything is drawn. The rule is necessary, not
+    sufficient: just inside it the estimate can still be far off.
+    """
+    var = geometric_variance(model, t, hurst)
+    bound = 0.5 * p * p * var  # inf for a huge p, where p ** 2 raises OverflowError
+    if math.log(replicas) < bound:
+        raise NumericalError(
+            f"{replicas} replicas are too few for the order-{p} moment at t={t}: "
+            f"ln(replicas) must be at least p^2 sigma^2 / 2 = {bound:.6g}"
+        )
+    scale = math.sqrt(t) if model == "gbm" else t**hurst
+
+    def block(gen, count):
+        z = gen.standard_normal((count, 1)) * scale
+        return np.exp(z[:, 0] - var / 2.0)
+
+    return block
+
+
 _CHAOS_TABLE = HermiteTable(200)
 
 

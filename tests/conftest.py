@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 results: list[str] = []
 
@@ -11,6 +15,19 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports the spde_lab these tests
+    import, and return its stdout; a failing run raises with its stderr."""
+    import spde_lab
+
+    src = str(Path(spde_lab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def pytest_terminal_summary(terminalreporter):

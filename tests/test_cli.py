@@ -2,10 +2,8 @@ import contextlib
 import io
 import json
 import math
-import os
 import re
 import shutil
-import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -20,7 +18,11 @@ from spde_lab import cli, noise
 from spde_lab.cli import main
 from spde_lab.field import read_spdf
 from spde_lab.grids import SpaceTimeGrid, TimeGrid
-from spde_lab.rng import RngStream
+from spde_lab.moments import estimate_moments
+from spde_lab.rng import RngStream, map_replica_blocks
+from spde_lab.solvers import geometric_block
+
+from conftest import run_python
 
 
 def run(argv):
@@ -83,7 +85,7 @@ class TestCheckCommand:
             "        assert main(argv) == 0, argv\n"
             "    print(open(out + '/check.json').read().replace('\\n', ''))\n"
         )
-        verdicts = [json.loads(line)["results"] for line in _python(code).splitlines()]
+        verdicts = [json.loads(line)["results"] for line in run_python(code).splitlines()]
         assert [v["verdict"]["satisfied"] for v in verdicts] == [True, True, True, False]
         for v in verdicts:
             closed, numeric = v["verdict"], v["numeric_verdict"]
@@ -222,6 +224,24 @@ class TestSimulateCommand:
         assert code == 2
         err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert err["error"] == "InputError"
+
+    @pytest.mark.parametrize("model, hurst", [("gbm", None), ("gfbm", 0.7)])
+    def test_geometric_rows_are_library_estimates(self, tmp_path, model, hurst):
+        # one sampling path: the rows at t_i are estimate_moments of the library
+        # block mapped over substream i of the seed, at the default block size
+        ts, ps, replicas = [0.5, 1.5], [1.0, 2.5], 3000
+        extra = [] if hurst is None else ["--hurst", hurst]
+        assert run(["simulate", "--model", model, "--t", "0.5,1.5", "--p", "1,2.5",
+                    "--replicas", replicas, "--seed", "5", "--threads", "2",
+                    "--out", tmp_path] + extra) == 0
+        lines = (tmp_path / "moments.csv").read_text().strip().splitlines()[3:]
+        got = [tuple(map(float, line.split(",")[3:5])) for line in lines]
+        expected = []
+        for i, t in enumerate(ts):
+            block = geometric_block(model, t, hurst, max(ps), replicas)
+            x = map_replica_blocks(replicas, block, RngStream(5).substream(i))
+            expected += [(r.estimate, r.stderr) for r in estimate_moments(x, ps, model, t)]
+        assert got == expected
 
     def test_pam_white_model(self, tmp_path):
         assert run(["simulate", "--model", "pam-white", "--t", "0.25",
@@ -399,17 +419,6 @@ class TestNoiseCommand:
         assert code == 2
 
 
-def _python(code):
-    """Run ``code`` in a fresh interpreter that imports this checkout's spde_lab."""
-    src = str(Path(spde_lab.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    return proc.stdout
-
-
 class TestColdStart:
     def test_cli_import_loads_no_scipy(self):
         # the d=2 Riesz cell integrals use math.erf
@@ -419,7 +428,7 @@ class TestColdStart:
             "dim=2), noise.NoiseSpec.fractional_riesz(0.7, 1.3)); "
             "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
         )
-        assert _python(code).strip() == "[]"
+        assert run_python(code).strip() == "[]"
 
     def test_no_subcommand_loads_scipy(self, tmp_path):
         # every subcommand once, check --numeric (the quadrature route) included
@@ -433,7 +442,7 @@ class TestColdStart:
             f"        assert main(argv + ['--out', {str(tmp_path)!r} + f'/{{i}}']) == 0, argv\n"
             "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
         )
-        assert _python(code).strip() == "[]"
+        assert run_python(code).strip() == "[]"
 
 
 def _last_json(capsys):
@@ -627,10 +636,14 @@ class TestRangeChecks:
         ["certificate", "--big-t", repr(sys.float_info.max), "--replicas", "100"],
         ["holder", "--half-width", repr(sys.float_info.max), "--n-steps", "64", "--n-cells", "64",
          "--replicas", "8", "--time-lags", "2,4,8", "--space-lags", "2,4,8"],
-        # underflow: every sample or every |X|^p rounds to 0, or G(t, .) is flat on the grid
+        # too few replicas for the moment, ln(replicas) < p^2 sigma^2 / 2: the
+        # sample-size rule rejects these before anything is drawn
         ["simulate", "--model", "gbm", "--t", "1000"],
         ["simulate", "--model", "gbm", "--t", "1e300"],
         ["simulate", "--model", "gfbm", "--hurst", "0.9", "--t", "1e100"],
+        ["simulate", "--model", "gbm", "--t", "100", "--p", "2", "--replicas", "10000"],
+        ["simulate", "--model", "gbm", "--t", "10", "--p", "2", "--replicas", "10000"],
+        # underflow: G(t, .) is flat on the grid
         ["holder", "--t", "1e300", "--n-steps", "1024", "--n-cells", "32", "--replicas", "4"],
     ], ids=["pam-closed-form", "certificate-constant", "gbm-closed-form", "noise-sheet",
             "noise-homogeneous", "fk-t-huge", "fbm-t-huge", "homogeneous-t-huge",
@@ -638,7 +651,7 @@ class TestRangeChecks:
             "pam-white-half-width-huge", "pam-white-half-width-max", "gbm-p-huge",
             "pam-white-t-huge", "certificate-big-t-max", "holder-half-width-max",
             "gbm-moment-underflow", "gbm-sample-underflow", "gfbm-sample-underflow",
-            "holder-t-huge"])
+            "gbm-too-few-replicas-t100", "gbm-too-few-replicas-t10", "holder-t-huge"])
     def test_overflow_exits_3(self, tmp_path, capsys, argv):
         assert run(argv + ["--seed", "1", "--out", tmp_path / "out"]) == 3
         assert _last_json(capsys)["error"] == "NumericalError"

@@ -1,5 +1,4 @@
 import math
-import subprocess
 import sys
 
 import numpy as np
@@ -20,7 +19,7 @@ from spde_lab.errors import CapabilityError, DomainError, InputError, NumericalE
 from spde_lab.kernels import OperatorSpec
 from spde_lab.rng import CHUNK_BYTES, RngStream, as_generator
 
-from conftest import traced_peak
+from conftest import run_python, traced_peak
 
 ALPHAS = (0.25, 0.75, 1.25, 1.75)
 HURSTS = (0.55, 0.65, 0.75, 0.85, 0.95)
@@ -387,7 +386,7 @@ class TestJointCondition:
             "    check_fractional(op, 0.5, 0.75, 1)\n"
             "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)\n"
         )
-        subprocess.run([sys.executable, "-c", code], check=True)
+        run_python(code)
 
     def test_value_against_direct_2d_quadrature(self):
         nu = fractional_time(0.75)

@@ -66,6 +66,15 @@ class TestEstimateMoments:
         with pytest.raises(NumericalError, match="underflows"):
             estimate_moments(np.array([1e-157, 2e-157, 3e-157]), [2.0])
 
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+    def test_bits_of_one_dimensional_mean(self, p):
+        # the shared reduction takes the (n, 1) column x[:, None] ** p, whose
+        # axis-0 mean adds in the pairwise order of the 1-d mean
+        x = np.exp(RngStream(21).generator().standard_normal(100_000))
+        row = estimate_moments(x, [p])[0]
+        vals = np.abs(x) ** p
+        assert row.estimate == vals.mean() and row.stderr == jackknife_stderr(vals)
+
     def test_zero_sample_has_zero_moment(self):
         row = estimate_moments(np.zeros(4), [2.0])[0]
         assert row.estimate == 0.0 and row.stderr == 0.0

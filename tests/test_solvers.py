@@ -358,6 +358,37 @@ class TestGeometricSolutions:
         assert abs(sq.mean() - math.e) <= 3.0 * se
 
 
+class TestGeometricBlock:
+    # (model, t, hurst, p, sigma^2 in closed form: t for gbm, t^(2H) for gfbm)
+    @pytest.mark.parametrize("model, t, hurst, p, var", [
+        ("gbm", 1.0, None, 3.0, 1.0),
+        ("gbm", 3.0, None, 2.0, 3.0),
+        ("gfbm", 4.0, 0.25, 2.0, 2.0),
+        ("gfbm", 2.0, 0.75, 2.0, 2.0 * math.sqrt(2.0)),
+        ("gfbm", 9.0, 0.25, 1.5, 3.0),
+    ])
+    def test_sample_size_rule_threshold(self, model, t, hurst, p, var):
+        # n replicas pass iff ln n >= p^2 sigma^2 / 2, so the integers on each
+        # side of e^(p^2 sigma^2 / 2) fall on each side of the rule
+        need = math.exp(p * p * var / 2.0)
+        n = math.floor(need)
+        assert 1e-6 < need - n < 1.0 - 1e-6
+        assert solvers.geometric_variance(model, t, hurst) == pytest.approx(var, rel=1e-15)
+        with pytest.raises(NumericalError, match="too few"):
+            solvers.geometric_block(model, t, hurst, p, n)
+        assert callable(solvers.geometric_block(model, t, hurst, p, n + 1))
+
+    @pytest.mark.parametrize("model, hurst, scale, var", [
+        ("gbm", None, math.sqrt(2.0), 2.0),
+        ("gfbm", 0.25, 2.0**0.25, math.sqrt(2.0)),
+    ])
+    def test_block_is_lognormal_of_one_normal_per_replica(self, model, hurst, scale, var):
+        block = solvers.geometric_block(model, 2.0, hurst, 1.0, 300)
+        z = RngStream(4).generator().standard_normal(300)
+        np.testing.assert_allclose(block(RngStream(4).generator(), 300),
+                                   np.exp(scale * z - var / 2.0), rtol=1e-14)
+
+
 class TestChaosGeometric:
     def test_bm_closed_form(self):
         for t in (0.25, 0.5, 1.0, 2.0):
