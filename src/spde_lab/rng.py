@@ -14,7 +14,6 @@ from __future__ import annotations
 import operator
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +112,9 @@ def replica_blocks(
         for b, start in enumerate(starts):
             yield start, run_block(b)
         return
+    # imported here: a serial run, every --threads 1 process, never pays for it
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         for b, start in enumerate(starts):

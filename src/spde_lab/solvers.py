@@ -210,17 +210,23 @@ def _picard_trace(
     return PicardTrace(diffs, n_iter, replicas, final_sample=final)
 
 
+def _geometric(z, var) -> np.ndarray:
+    """exp(z - var/2), the geometric model at log-variance ``var`` from its
+    Gaussian ``z``: the one formula of ``geometric_bm``, ``geometric_fbm``
+    and ``geometric_block``."""
+    return np.exp(np.asarray(z) - var / 2.0)
+
+
 def geometric_bm(times: np.ndarray, path: np.ndarray) -> np.ndarray:
     """exp(B_t - t/2), the multiplicative-noise SDE solution with X(0)=1."""
-    return np.exp(np.asarray(path) - np.asarray(times) / 2.0)
+    return _geometric(path, np.asarray(times))
 
 
 def geometric_fbm(times: np.ndarray, path: np.ndarray, hurst: float) -> np.ndarray:
     """exp(B^H_t - t^(2H)/2), its fractional counterpart (H > 1/2)."""
     if not 0.0 < hurst < 1.0:
         raise DomainError(f"Hurst index must lie in (0,1), got {hurst}")
-    t = np.asarray(times, dtype=float)
-    return np.exp(np.asarray(path) - t ** (2.0 * hurst) / 2.0)
+    return _geometric(path, np.asarray(times, dtype=float) ** (2.0 * hurst))
 
 
 def geometric_variance(model: str, t: float, hurst: float | None = None) -> float:
@@ -257,8 +263,9 @@ def geometric_block(model: str, t: float, hurst: float | None, p: float, replica
     scale = math.sqrt(t) if model == "gbm" else t**hurst
 
     def block(gen, count):
-        z = gen.standard_normal((count, 1)) * scale
-        return np.exp(z[:, 0] - var / 2.0)
+        # var stays the Python float of geometric_variance: t^(2H) as a numpy
+        # power, as geometric_fbm takes it, may differ in the last bit
+        return _geometric(gen.standard_normal((count, 1))[:, 0] * scale, var)
 
     return block
 
@@ -329,9 +336,10 @@ def _heat_kernel_vector(grid: SpaceTimeGrid, s: float) -> np.ndarray:
 def _lagged_heat_kernels(grid: SpaceTimeGrid) -> np.ndarray:
     """g[0] = 0, g[m] = G((m-1/2) dt, periodic displacements), m = 1..nt."""
     nt, dt = grid.time.n_steps, grid.time.dt
+    disp = _periodic_displacements(grid)
     g = np.zeros((nt + 1, grid.n_cells))
     for m in range(1, nt + 1):
-        g[m] = _heat_kernel_vector(grid, (m - 0.5) * dt)
+        g[m] = heat_kernel((m - 0.5) * dt, disp, 1)
     return g
 
 
@@ -372,8 +380,9 @@ class _LinearHeatKernels:
         # m <= last takes the space rFFT of g[m] (g[0]'s too, for its signed
         # zeros), the rest is the time padding; then one in-place time FFT
         self.spectrum = np.zeros((grid.n_cells // 2 + 1, n_fft), dtype=complex)
+        disp = _periodic_displacements(grid)
         for m in range(self.last + 1):
-            g_m = _heat_kernel_vector(grid, (m - 0.5) * dt) if m else np.zeros(grid.n_cells)
+            g_m = heat_kernel((m - 0.5) * dt, disp, 1) if m else np.zeros(grid.n_cells)
             np.fft.rfft(g_m, out=self.spectrum[:, m])
         np.fft.fft(self.spectrum, axis=1, out=self.spectrum)
 
@@ -754,7 +763,14 @@ class WickPamSampler:
     solution, whose second moment matches Wick-calculus moment formulas up
     to the chaos tail; the plain adapted product of the Euler march
     (_pam_march) does not converge to that solution when the noise is
-    correlated in time. Both levels march with the same rFFT heat step.
+    correlated in time.
+
+    Both levels march with one heat step, a dense circulant product
+    v -> v @ C, C[y, x] = G(dt, x - y) on periodic displacements. The noise
+    grid is Cholesky-capped and its sampler already multiplies every row by
+    a dense (n_cells x n_cells) space factor, so this step never costs more
+    than that correlate; at these sizes it beats the rFFT step of
+    ``_pam_march``.
     """
 
     def __init__(self, grid: SpaceTimeGrid, spec: NoiseSpec):
@@ -762,14 +778,15 @@ class WickPamSampler:
             raise CapabilityError("Wick chaos marching supports d = 1 only")
         self.grid = grid
         self.sampler = HomogeneousNoiseSampler(grid, spec)
-        self._step = _heat_step(grid)
         nt, nx = grid.time.n_steps, grid.n_cells
         t_cov, s_cov = self.sampler.time_cov, self.sampler.space_cov
+        # idx[y, z] = (y - z) mod nx, so c[idx] is the circulant of c
+        idx = (np.arange(nx)[:, None] - np.arange(nx)[None, :]) % nx
+        c = _heat_kernel_vector(grid, grid.time.dt)
+        self._circulant = c[idx.T]
         # the influence of a past cell j steps back is the circulant of
         # c_j = dx^j G(dt, .)^(*(j+1)); q[j, y] = sum_z c_j[(y-z) mod nx] S[z, y]
-        idx = (np.arange(nx)[:, None] - np.arange(nx)[None, :]) % nx
         q = np.empty((nt, nx))
-        c = _heat_kernel_vector(grid, grid.time.dt)
         for j in range(nt):
             q[j] = np.einsum("yz,zy->y", c[idx], s_cov)
             c = self._step(c * grid.dx)
@@ -778,15 +795,20 @@ class WickPamSampler:
             # tau[k, y] = sum_(m<k) T[m, k] q[k-1-m, y]
             self.tau[k] = t_cov[:k, k] @ q[k - 1 :: -1]
 
+    def _step(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """One heat step along the last axis, v @ C, into ``out`` when given."""
+        return np.matmul(v, self._circulant, out=out)
+
     def sample_chaos(self, rng, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(U1, U2) at the final time node, each of shape (n, n_cells)."""
         w = self.sampler.sample_batch(rng, n)
         dx, nx = self.grid.dx, self.grid.n_cells
-        # both levels are halves of one array and take one heat step together
+        # both levels are halves of one array and take one heat step together,
+        # as one (2 n, nx) product
         u = np.zeros((2, n, nx))
         v = np.empty_like(u)
         (u1, u2), (v1, v2) = u, v
-        spec = np.empty((2, n, nx // 2 + 1), dtype=complex)
+        u_rows, v_rows = u.reshape(-1, nx), v.reshape(-1, nx)
         for w_k, tau_k in zip(w.swapaxes(0, 1), self.tau):
             # U2 <- step(U2 dx + U1 w_k - tau_k), U1 <- step(U1 dx + w_k), both from old U1
             np.multiply(u1, w_k, out=v2)
@@ -795,7 +817,7 @@ class WickPamSampler:
             v2 -= tau_k
             np.multiply(u1, dx, out=v1)
             v1 += w_k
-            self._step(v, out=u, spec=spec)
+            self._step(v_rows, out=u_rows)
         return u1, u2
 
     def second_moment_blocks(

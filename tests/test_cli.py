@@ -430,6 +430,11 @@ class TestColdStart:
         )
         assert run_python(code).strip() == "[]"
 
+    def test_cli_import_loads_no_thread_pool(self):
+        # concurrent.futures is imported by replica_blocks only when it pools threads
+        code = "import spde_lab.cli, sys; print('concurrent.futures' in sys.modules)"
+        assert run_python(code).strip() == "False"
+
     def test_no_subcommand_loads_scipy(self, tmp_path):
         # every subcommand once, check --numeric (the quadrature route) included
         runs = _ROUNDTRIP_RUNS + [["check", "--op", "wave", "--alpha", "0.5", "--hurst", "0.6",

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import struct
 import time
@@ -128,7 +129,8 @@ class TestRngStream:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(rng, "ThreadPoolExecutor", RecordingPool)
+        # replica_blocks imports the pool class from concurrent.futures when it pools
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(rng.os, "cpu_count", lambda: cpus)
         fn = lambda g, n: g.standard_normal(n)  # noqa: E731
         out = map_replica_blocks(3, fn, RngStream(2), block_size=1, threads=10**6)

@@ -388,6 +388,25 @@ class TestGeometricBlock:
         np.testing.assert_allclose(block(RngStream(4).generator(), 300),
                                    np.exp(scale * z - var / 2.0), rtol=1e-14)
 
+    @pytest.mark.parametrize("model, t, hurst", [
+        ("gbm", 0.5, None),
+        ("gbm", 3.7, None),
+        # at these three, t^(2H) as a Python float and as a numpy power differ
+        # in the last bit
+        ("gfbm", 0.5, 0.55),
+        ("gfbm", 2.0, 0.95),
+        ("gfbm", 7.3, 0.6),
+        ("gfbm", 4.0, 0.75),
+    ])
+    def test_block_bits_pinned_to_python_float_expression(self, model, t, hurst):
+        # the block's expression before it shared the geometric formula, with
+        # sigma and sigma^2 as Python floats
+        scale, var = (math.sqrt(t), t) if model == "gbm" else (t**hurst, t ** (2 * hurst))
+        z = RngStream(8).generator().standard_normal((1000, 1)) * scale
+        want = np.exp(z[:, 0] - var / 2.0)
+        block = solvers.geometric_block(model, t, hurst, 1.0, 1000)
+        assert block(RngStream(8).generator(), 1000).tobytes() == want.tobytes()
+
 
 class TestChaosGeometric:
     def test_bm_closed_form(self):
@@ -1104,6 +1123,31 @@ def dense_step_matrices(grid: SpaceTimeGrid) -> tuple[np.ndarray, np.ndarray]:
     return m * grid.dx, m
 
 
+def rfft_wick_march(sampler: WickPamSampler, rng, n: int):
+    """(tau, U1, U2) of the Wick march with the shared rFFT heat step
+    ``solvers._heat_step`` in place of the sampler's dense circulant product:
+    the march of version 0.2.4, kept as an oracle for the dense one."""
+    grid = sampler.grid
+    step = solvers._heat_step(grid)
+    nt, nx, dx = grid.time.n_steps, grid.n_cells, grid.dx
+    t_cov, s_cov = sampler.sampler.time_cov, sampler.sampler.space_cov
+    idx = (np.arange(nx)[:, None] - np.arange(nx)[None, :]) % nx
+    q = np.empty((nt, nx))
+    c = solvers._heat_kernel_vector(grid, grid.time.dt)
+    for j in range(nt):
+        q[j] = np.einsum("yz,zy->y", c[idx], s_cov)
+        c = step(c * dx)
+    tau = np.zeros((nt, nx))
+    for k in range(1, nt):
+        tau[k] = t_cov[:k, k] @ q[k - 1 :: -1]
+    w = sampler.sampler.sample_batch(rng, n)
+    u1 = np.zeros((n, nx))
+    u2 = np.zeros_like(u1)
+    for k in range(nt):
+        u1, u2 = step(u1 * dx + w[:, k]), step(u2 * dx + u1 * w[:, k] - tau[k])
+    return tau, u1, u2
+
+
 class TestWickPam:
     GRID = SpaceTimeGrid(TimeGrid(0.25, 32), 2.0, 64)
     SPEC = NoiseSpec.fractional_riesz(0.7, 0.5)
@@ -1186,6 +1230,35 @@ class TestWickPam:
             u1 = sampler._step(u1 * grid.dx + w[:, k])
         f1, f2 = sampler.sample_chaos(RngStream(33), 7)
         assert f1.tobytes() == u1.tobytes() and f2.tobytes() == u2.tobytes()
+
+    @pytest.mark.parametrize("grid, spec, n, rs", [
+        # criterion 9: its grid, noise and first batch (this class's grid too)
+        (GRID, SPEC, 500, (31, 0)),
+        # the colored benchmark's full-size grid at its shortest time
+        (SpaceTimeGrid(TimeGrid(0.1, 32), 4.0 * math.sqrt(0.1), 64),
+         NoiseSpec.fractional_riesz(0.8, 0.3), 200, (5,)),
+        # an odd cell count, where the rFFT has no Nyquist term
+        (SpaceTimeGrid(TimeGrid(0.3, 8), 1.5, 13), NoiseSpec.fractional_riesz(0.65, 0.6),
+         50, (6,)),
+    ], ids=["criterion-9", "colored", "odd-cells"])
+    def test_dense_march_matches_rfft_march(self, grid, spec, n, rs):
+        sampler = WickPamSampler(grid, spec)
+        tau, u1, u2 = rfft_wick_march(sampler, RngStream(*rs), n)
+        f1, f2 = sampler.sample_chaos(RngStream(*rs), n)
+        for got, want in ((sampler.tau, tau), (f1, u1), (f2, u2)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("nx", [13, 16, 64, 128])
+    def test_dense_step_matches_rfft_step(self, nx):
+        grid = SpaceTimeGrid(TimeGrid(0.25, 4), 2.0, nx)
+        sampler = WickPamSampler(grid, self.SPEC)
+        v = RngStream(nx).generator().standard_normal((3, 50, nx))
+        want = solvers._heat_step(grid)(v)
+        atol = 1e-14 * np.abs(want).max()
+        # stacked rows, one (rows, nx) matrix and one row
+        np.testing.assert_allclose(sampler._step(v), want, rtol=0, atol=atol)
+        np.testing.assert_allclose(sampler._step(v[1]), want[1], rtol=0, atol=atol)
+        np.testing.assert_allclose(sampler._step(v[1, 7]), want[1, 7], rtol=0, atol=atol)
 
     def test_second_moment_samples_at_least_chaos0(self):
         sampler = WickPamSampler(self.GRID, self.SPEC)
